@@ -523,3 +523,69 @@ def test_crash_coordinates_bit_identical_between_schedulers():
         return err.value.rank, err.value.event
 
     assert crash_run("event") == crash_run("round-robin") == (1, at_event)
+
+
+# ----------------------------------------------------------------------
+# Crash-stops of parked PEs (event-indexed plans on the alpha-beta model)
+# ----------------------------------------------------------------------
+def _parked_rank_program(ctx, burst_rank):
+    """Rank 2 parks on a receive that never completes; the others charge.
+
+    Every other rank charges once per round for three rounds, except
+    that ``burst_rank`` charges ten times in its round-1 step.  With
+    ``burst_rank == 2`` rank 2 itself charges ten times before it
+    parks in round 0.
+    """
+    if ctx.rank == 2:
+        if burst_rank == 2:
+            for _ in range(10):
+                ctx.charge(1)
+        yield from ctx.recv("never")
+        return None
+    for rnd in range(3):
+        for _ in range(10 if (ctx.rank == burst_rank and rnd == 1) else 1):
+            ctx.charge(1)
+        yield
+    return None
+
+
+@pytest.mark.parametrize(
+    "burst_rank,expected",
+    [
+        # A lower rank crosses the threshold: rank 2's turn in the same
+        # round is still ahead, so the crash fires this round.
+        (1, (2, 14)),
+        # A higher rank crosses it: rank 2's next turn is next round.
+        (3, (2, 17)),
+        # Rank 2 crosses it in its own step, then parks: next round.
+        (2, (2, 15)),
+    ],
+)
+def test_parked_rank_crashes_at_its_next_round_robin_turn(burst_rank, expected):
+    """(rank, event) pinned from the round-robin polling schedule."""
+    plan = FaultPlan(0, crashes=[CrashEvent(rank=2, at_event=10)])
+    with pytest.raises(PECrashError) as err:
+        Machine(4, fault_plan=plan).run(_parked_rank_program, burst_rank)
+    assert (err.value.rank, err.value.event) == expected
+
+
+def test_two_crashes_on_one_rank_under_global_restart():
+    """The second crash fires in the restarted run, once, at the pinned
+    coordinate; the first crash does not wake the rank again."""
+    graph = default_chaos_graph()
+    dist = distribute(graph, num_pes=3)
+    dry = Machine(3).run(counting_program, dist, DITRIC_CONFIG)
+    plan = FaultPlan(
+        3,
+        crashes=[
+            CrashEvent(rank=1, at_event=dry.events // 3),
+            CrashEvent(rank=1, at_event=2 * dry.events // 3),
+        ],
+    )
+    machine = Machine(3, fault_plan=plan, checkpoint_store=CheckpointStore(3))
+    rec = run_with_recovery(machine, counting_program, dist, DITRIC_CONFIG)
+    assert dry.events == 82
+    assert rec.crashes == ((1, 43), (1, 68))
+    assert rec.restarts == 2
+    assert rec.result.events == 58
+    assert rec.values[0].triangles_total == edge_iterator(graph).triangles
