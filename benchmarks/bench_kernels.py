@@ -52,7 +52,7 @@ def rmat16_batch():
 
 
 def _regime_batches():
-    """Synthetic batches spanning the auto-tuner's pair-size regimes."""
+    """Synthetic batches spanning three pair-size regimes."""
     rng = np.random.default_rng(42)
     out = {}
     for name, (k, a_len, b_len) in {
@@ -105,14 +105,13 @@ def test_bench_kernel_backends(rmat16_batch, results_dir):
     """Pluggable kernel backends on the RMAT scale-16 batch.
 
     Times ``batch_intersect_count`` under every *loadable* backend
-    (``numpy`` always; ``numba`` / ``native`` when their toolchains are
-    installed; ``auto`` dispatching to its tuned winner) and pins the
-    bit-identity contract: same counts, same charged ops — accounting
-    happens in the dispatcher, before any backend runs.  Compiled
-    backends must beat the keyed searchsorted baseline — ``native`` by
-    >= 2x (the acceptance bar for shipping a C extension at all); when
-    a toolchain is missing, the committed artifact records the skip
-    instead of silently shrinking the table.
+    (``numpy`` always; ``native`` when cffi and a C compiler are
+    installed) and pins the bit-identity contract: same counts, same
+    charged ops — accounting happens in the dispatcher, before any
+    backend runs.  ``native`` must beat the keyed searchsorted baseline
+    by >= 2x (the acceptance bar for shipping a C extension at all);
+    when its toolchain is missing, the committed artifact records the
+    skip instead of silently shrinking the table.
     """
     a_cat, a_x, b_cat, b_x, n = rmat16_batch
     rows = []
@@ -124,7 +123,7 @@ def test_bench_kernel_backends(rmat16_batch, results_dir):
             skipped.append(f"{name}: {status.get(name, 'unknown')}")
             continue
         with backends.use_backend(name):
-            batch_intersect_count(a_cat, a_x, b_cat, b_x, n)  # warm-up / JIT / tune
+            batch_intersect_count(a_cat, a_x, b_cat, b_x, n)  # warm-up / build
             best = float("inf")
             for _ in range(3):
                 t0 = time.perf_counter()
@@ -160,26 +159,20 @@ def test_bench_kernel_backends(rmat16_batch, results_dir):
             f"native must be >= 2x numpy on this batch "
             f"(native {native_wall:.4f}s vs numpy {baseline:.4f}s)"
         )
-    if "numba" in results:
-        numba_wall = next(
-            r["wall time [s]"] for r in rows if r["backend"] == "numba"
-        )
-        assert numba_wall < baseline, "compiled merge loops should beat searchsorted"
-    if "native" not in results and "numba" not in results:
-        pytest.skip("no compiled backend loadable; numpy-only table committed")
+    else:
+        pytest.skip("native backend not loadable; numpy-only table committed")
 
 
 def test_bench_backend_regime_sweep(results_dir):
-    """Size-regime sweep: every loadable backend on the tuner's regimes.
+    """Size-regime sweep: every loadable backend on three pair-size regimes.
 
-    The committed table shows *why* the auto backend exists: the
-    per-regime ranking is not constant (e.g. dispatch overhead dominates
-    tiny batches; galloping pays off on skewed ones), and the winner
-    column is exactly what ``repro-tc backends tune`` persists.
+    Balanced, skewed (galloping territory) and tiny (dispatch overhead)
+    batches.  The committed table shows ``native`` winning every regime,
+    which is why backend choice is one explicit setting rather than a
+    per-batch selector.
     """
     status = backends.backend_status()
-    loadable = [n for n in backends.available_backends()
-                if status.get(n) == "ok" and n != "auto"]
+    loadable = [n for n in backends.available_backends() if status.get(n) == "ok"]
     rows = []
     for regime, batch in _regime_batches().items():
         a_cat, a_x, b_cat, b_x, bound = batch
@@ -210,8 +203,7 @@ def test_bench_backend_regime_sweep(results_dir):
         columns,
         title=(
             "Kernel backend regime sweep: best-of-5 batch_intersect_count "
-            "wall time per pair-size regime (winner = what 'repro-tc "
-            "backends tune' would pick)"
+            "wall time per pair-size regime (winner = fastest backend)"
         ),
     )
     save_artifact(results_dir, "kernel_regime_sweep.txt", text)

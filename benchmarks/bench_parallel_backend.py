@@ -5,7 +5,7 @@ execution backends and transports.
 
 ``test_backend_agreement`` measures actual wall time of the same
 CETRIC program on the deterministic simulator (single process,
-round-robin) and on the process-parallel backend (one OS process per
+event engine) and on the process-parallel backend (one OS process per
 PE), and verifies the two agree on every application-level metric.
 The parallel backend's purpose is fidelity (real messages between
 real processes); at these graph sizes Python process startup dominates

@@ -19,27 +19,18 @@ keeping their *accounting* fixed:
   ``(pair_idx, elements)`` hit streams in (pair, ascending element)
   order — the canonical order both shipped backends emit naturally.
 
-Four backends ship:
+Two backends ship:
 
 ``numpy`` (default, always available)
-    The offset-keyed global ``searchsorted`` formulation that has been
-    the hot path since the frame PR.
-``numba``
-    Per-pair compiled merge loops (``@njit(cache=True)``), matching the
-    paper's cache-friendly merge kernels.  Optional: when the ``numba``
-    wheel is not importable the registry logs one warning and falls
-    back to ``numpy`` — selection never raises for a *known* backend.
+    The offset-keyed global ``searchsorted`` formulation, the portable
+    fallback.
 ``native``
-    The cffi/C extension of :mod:`repro.core.native`: merge loops plus
-    a galloping binary-search variant for skewed pairs, compiled on
-    demand at first use and cached.  Degrades exactly like ``numba``
-    when cffi or a C compiler is missing.
-``auto``
-    A per-regime selector (:mod:`repro.core.autotune`): a seeded
-    one-shot microbenchmark at first dispatch (or an explicit
-    ``repro-tc backends tune``) times the concrete backends on
-    representative pair-size regimes and dispatches each batch to the
-    cached winner for its regime.
+    The cffi/C extension of :mod:`repro.core.native`: the paper's merge
+    loops plus a galloping binary-search variant for skewed pairs
+    (Section III-C), compiled on demand at first use and cached.
+    Optional: when cffi or a C compiler is missing the registry logs
+    one warning and falls back to ``numpy`` — selection never raises
+    for a *known* backend.
 
 Selection (first match wins):
 
@@ -49,11 +40,7 @@ Selection (first match wins):
    workers propagate the choice),
 3. the ``numpy`` default.
 
-``auto`` participates like any other name: it runs only when
-explicitly selected through one of these channels, so the existing
-explicit-selection order always bypasses the tuner.
-
-Registering a fifth backend is two calls — see ``docs/KERNELS.md`` for
+Registering another backend is two calls — see ``docs/KERNELS.md`` for
 a worked example and the exact kernel contract.
 """
 
@@ -191,8 +178,8 @@ def resolve_backend(name: str | None = None) -> KernelBackend:
     """Resolve ``name`` (or the current selection) to a loaded backend.
 
     Unknown names raise ``KeyError``.  Known-but-unloadable backends
-    (e.g. ``numba`` without the wheel) log one warning and degrade to
-    ``numpy`` — runs never fail because an accelerator is missing.
+    (e.g. ``native`` without a C compiler) log one warning and degrade
+    to ``numpy`` — runs never fail because an accelerator is missing.
     """
     if name is None:
         name = _ACTIVE or os.environ.get(ENV_BACKEND, "").strip() or "numpy"
@@ -260,112 +247,6 @@ register_backend("numpy", _load_numpy)
 
 
 # ---------------------------------------------------------------------------
-# numba backend (optional)
-# ---------------------------------------------------------------------------
-
-
-def _load_numba() -> KernelBackend:
-    import numba  # noqa: F401  (ImportError -> logged numpy fallback)
-    from numba import njit
-
-    @njit(cache=True)
-    def _count(a_concat, a_xadj, b_concat, b_xadj, counts):  # pragma: no cover
-        for i in range(counts.size):
-            ai, ae = a_xadj[i], a_xadj[i + 1]
-            bi, be = b_xadj[i], b_xadj[i + 1]
-            c = 0
-            while ai < ae and bi < be:
-                av = a_concat[ai]
-                bv = b_concat[bi]
-                if av == bv:
-                    c += 1
-                    ai += 1
-                    bi += 1
-                elif av < bv:
-                    ai += 1
-                else:
-                    bi += 1
-            counts[i] = c
-
-    @njit(cache=True)
-    def _elements(  # pragma: no cover
-        a_concat, a_xadj, b_concat, b_xadj, pair_out, elem_out
-    ):
-        out = 0
-        for i in range(a_xadj.size - 1):
-            ai, ae = a_xadj[i], a_xadj[i + 1]
-            bi, be = b_xadj[i], b_xadj[i + 1]
-            while ai < ae and bi < be:
-                av = a_concat[ai]
-                bv = b_concat[bi]
-                if av == bv:
-                    pair_out[out] = i
-                    elem_out[out] = av
-                    out += 1
-                    ai += 1
-                    bi += 1
-                elif av < bv:
-                    ai += 1
-                else:
-                    bi += 1
-        return out
-
-    def count(a_concat, a_xadj, b_concat, b_xadj, vertex_bound):
-        counts = np.empty(a_xadj.size - 1, dtype=np.int64)
-        _count(a_concat, a_xadj, b_concat, b_xadj, counts)
-        return counts
-
-    @njit(cache=True)
-    def _count_elements(  # pragma: no cover
-        a_concat, a_xadj, b_concat, b_xadj, counts, pair_out, elem_out
-    ):
-        out = 0
-        for i in range(counts.size):
-            ai, ae = a_xadj[i], a_xadj[i + 1]
-            bi, be = b_xadj[i], b_xadj[i + 1]
-            c = 0
-            while ai < ae and bi < be:
-                av = a_concat[ai]
-                bv = b_concat[bi]
-                if av == bv:
-                    pair_out[out] = i
-                    elem_out[out] = av
-                    out += 1
-                    c += 1
-                    ai += 1
-                    bi += 1
-                elif av < bv:
-                    ai += 1
-                else:
-                    bi += 1
-            counts[i] = c
-        return out
-
-    def elements(a_concat, a_xadj, b_concat, b_xadj, vertex_bound):
-        # Hits per pair are bounded by the smaller block, and the
-        # dispatcher guarantees A is the smaller side overall, so
-        # |a_concat| bounds the total output.
-        pair_out = np.empty(a_concat.size, dtype=np.int64)
-        elem_out = np.empty(a_concat.size, dtype=np.int64)
-        n = _elements(a_concat, a_xadj, b_concat, b_xadj, pair_out, elem_out)
-        return pair_out[:n], elem_out[:n]
-
-    def count_elements(a_concat, a_xadj, b_concat, b_xadj, vertex_bound):
-        counts = np.empty(a_xadj.size - 1, dtype=np.int64)
-        pair_out = np.empty(a_concat.size, dtype=np.int64)
-        elem_out = np.empty(a_concat.size, dtype=np.int64)
-        n = _count_elements(
-            a_concat, a_xadj, b_concat, b_xadj, counts, pair_out, elem_out
-        )
-        return counts, pair_out[:n], elem_out[:n]
-
-    return KernelBackend("numba", count, elements, count_elements)
-
-
-register_backend("numba", _load_numba)
-
-
-# ---------------------------------------------------------------------------
 # native backend (optional: cffi + a C compiler, built on demand)
 # ---------------------------------------------------------------------------
 
@@ -381,16 +262,3 @@ def _load_native() -> KernelBackend:
 
 register_backend("native", _load_native)
 
-
-# ---------------------------------------------------------------------------
-# auto backend (per-regime winner dispatch; always loadable)
-# ---------------------------------------------------------------------------
-
-
-def _load_auto() -> KernelBackend:
-    from .autotune import make_auto_backend
-
-    return make_auto_backend()
-
-
-register_backend("auto", _load_auto)

@@ -20,10 +20,9 @@ Python's constant factors.
 validation, the ops accounting, the empty fast path and the
 small-into-large side swap, then hand the pre-conditioned arrays to
 the kernel backend selected via :mod:`repro.core.backends` (``numpy``
-by default; ``REPRO_KERNEL_BACKEND=native`` / ``numba`` /
-``repro-tc --kernel-backend ...`` selects a compiled merge-loop
-backend when available, ``auto`` the per-regime tuned winner).  The
-fused variant returns per-pair counts *and* the hit streams from one
+by default; ``REPRO_KERNEL_BACKEND=native`` or
+``repro-tc --kernel-backend native`` selects the compiled C merge and
+galloping kernels when a compiler is available).  The fused variant returns per-pair counts *and* the hit streams from one
 backend traversal — the shape the enumeration/LCC paths consume.
 Because everything the cost model sees is computed *before* the
 backend runs, simulated accounting is identical for every backend by

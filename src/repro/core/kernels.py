@@ -14,7 +14,7 @@ callers, the TriC baseline) are packed into a frame on entry.
 The ``batch_intersect_*`` calls dispatch to the kernel backend selected
 via :mod:`repro.core.backends` (``REPRO_KERNEL_BACKEND`` /
 ``repro-tc --kernel-backend``): ``numpy`` by default, or the compiled
-``numba`` merge loops when available.  The charged ops are computed by
+C kernels of the ``native`` backend.  The charged ops are computed by
 the dispatcher before any backend runs, so everything in this module is
 backend-agnostic — see ``docs/KERNELS.md``.
 """

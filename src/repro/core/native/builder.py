@@ -78,7 +78,7 @@ def build_key() -> str:
 
 
 def cache_root() -> Path:
-    """Root directory for native-backend state (builds, tuner cache)."""
+    """Root directory for native-backend build artifacts."""
     override = os.environ.get(ENV_BUILD_DIR, "").strip()
     if override:
         return Path(override)

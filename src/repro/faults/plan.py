@@ -10,11 +10,11 @@ Determinism
 All probabilistic decisions are drawn from one ``numpy`` generator
 seeded at construction.  The event engine of :mod:`repro.sim` executes
 deterministically and consults the plan in a deterministic event order
-(on the alpha-beta network, the *same* order as the legacy round-robin
-scheduler — drops, delays, and crash coordinates are bit-identical
-between schedulers, pinned by ``tests/test_faults.py``), so a run is a
-pure function of ``(program, inputs, spec, FaultPlan seed)`` — the
-same guarantee the fault-free machine gives, extended to faulty runs.
+(on the alpha-beta network, the order of strict rank-order polling
+rounds — drops, delays, and crash coordinates are frozen in
+``tests/golden/fingerprints.json``), so a run is a pure function of
+``(program, inputs, spec, FaultPlan seed)`` — the same guarantee the
+fault-free machine gives, extended to faulty runs.
 Under the contended model, delays defer the message's injection event
 and retransmit timeouts fire as engine timer events.
 Decision draws only happen for fault classes with a non-zero rate, so
@@ -251,15 +251,23 @@ class FaultPlan:
         """Straggler factor of ``rank`` (1.0 for healthy PEs)."""
         return self.stragglers.get(rank, 1.0)
 
+    def _due_crash(self, rank: int, event_index: int) -> int | None:
+        for i, crash in enumerate(self.crashes):
+            if i not in self._fired and crash.rank == rank and event_index >= crash.at_event:
+                return i
+        return None
+
+    def crash_pending(self, rank: int, event_index: int) -> bool:
+        """Whether :meth:`crash_due` would fire now (fires nothing)."""
+        return self._due_crash(rank, event_index) is not None
+
     def crash_due(self, rank: int, event_index: int) -> bool:
         """Fire (at most once) any crash scheduled for ``rank`` by now."""
-        for i, crash in enumerate(self.crashes):
-            if i in self._fired or crash.rank != rank:
-                continue
-            if event_index >= crash.at_event:
-                self._fired.add(i)
-                return True
-        return False
+        index = self._due_crash(rank, event_index)
+        if index is None:
+            return False
+        self._fired.add(index)
+        return True
 
     def claim_timed(self, index: int) -> bool:
         """Fire (at most once) the timed crash at ``index``.

@@ -2,45 +2,45 @@
 
 Why it exists
 -------------
-The original machine scheduled its PE generators strict round-robin:
-every scheduling round resumed *every* live PE, so a PE blocked on an
-empty inbox still cost one generator resumption per round.  At the
-paper's scales (p = 2^9 .. 2^15, where most PEs idle through most of a
-phase) that made the scheduler itself the bottleneck.  This engine
-resumes a PE only when something it is waiting for happens — a message
-delivery, a timer, the completion of its outstanding sends — so idle
-PEs cost zero and runs with thousands of mostly-idle PEs complete in
-time proportional to the *work*, not to ``rounds * p``.
+A strict polling scheduler resumes *every* live PE once per round, so a
+PE blocked on an empty inbox still costs one generator resumption per
+round.  At the paper's scales (p = 2^9 .. 2^15, where most PEs idle
+through most of a phase) that makes the scheduler itself the
+bottleneck.  This engine resumes a PE only when something it is
+waiting for happens — a message delivery, a timer, the completion of
+its outstanding sends — so idle PEs cost zero and runs with thousands
+of mostly-idle PEs complete in time proportional to the *work*, not to
+``rounds * p``.
 
 Scheduling disciplines
 ----------------------
-The engine picks one of three disciplines per run:
+The network model picks one of two disciplines per run:
 
-``compat-heap`` (default: ``Network(model="alpha-beta")``)
-    Emulates the legacy round-robin schedule *exactly* while skipping
-    the no-op polls.  The key observation: resuming a PE that is
-    suspended inside ``ctx.recv`` with an empty inbox for its tag is a
-    pure no-op — no clock, metric, RNG, or progress-counter change —
-    so a schedule that skips exactly those resumptions replays the
-    round-robin run bit-identically (same values, same simulated
-    times, same fault-plan decision stream, same ``events`` counter).
-    The discipline keeps a heap of ``(round, rank)`` pairs: a PE that
-    yields while runnable is re-queued for the next round; a PE that
-    parks (blocked, empty inbox) leaves the heap until a message for
-    its tag arrives, at which point it is re-queued for the current
-    round if its turn has not passed yet (sender rank < waker rank)
-    and for the next round otherwise — exactly where round-robin would
-    have next given it a non-noop resumption.
+``compat-heap`` (``Network(model="alpha-beta")``, the default)
+    Replays the strict polling schedule (every round visits every live
+    PE in rank order) *exactly* while skipping its no-op polls.
+    Resuming a PE that is suspended inside ``ctx.recv`` with an
+    empty inbox for its tag is a pure no-op — no clock, metric, RNG, or
+    progress-counter change — so skipping exactly those resumptions
+    keeps values, simulated times, the fault-plan decision stream and
+    the ``events`` counter bit-identical (frozen in
+    ``tests/golden/fingerprints.json``).  The discipline keeps a heap
+    of ``(round, rank)`` pairs: a PE that yields while runnable is
+    re-queued for the next round; a PE that parks (blocked, empty
+    inbox) leaves the heap until a message for its tag arrives, at
+    which point it is re-queued for the current round if its turn has
+    not passed yet (waker rank < woken rank) and for the next round
+    otherwise — exactly where a polling round would next have given it
+    a non-noop resumption.
 
-``compat-fullpoll`` (alpha-beta model + a fault plan with crashes)
-    Crash events are keyed by the machine's event counter and the
-    round-robin scheduler checks them at *every* rank visit, including
-    no-op polls.  To keep crash coordinates bit-identical the engine
-    falls back to full scheduling rounds — it still skips the no-op
-    generator resumptions (they cannot fire a crash check's RNG; the
-    check itself is replayed for every rank) but visits every live
-    rank per round.  Crash campaigns run at small p, where this costs
-    nothing.
+    Event-indexed crash plans (:class:`~repro.faults.plan.CrashEvent`)
+    need no extra rounds.  A rank's crash is checked before each of
+    its resumptions, as a polling round would; and because
+    ``FaultPlan.crash_due`` depends only on (rank, monotone progress
+    counter), a *parked* rank's skipped visits matter only once the
+    counter reaches one of its unfired crashes — after each step the
+    engine re-queues such a rank with the wake placement above, so the
+    crash fires at the rank's next polling turn.
 
 ``des`` (``Network(model="contended")``)
     True discrete-event simulation in *time* order: each runnable PE
@@ -56,15 +56,14 @@ The engine picks one of three disciplines per run:
 
 Deadlock and livelock
 ---------------------
-All three disciplines detect true deadlock *exactly*: every live PE is
+Both disciplines detect true deadlock *exactly*: every live PE is
 parked on a blocking receive (or on ``sync_sends``) and the event
 queue holds nothing that could wake one — then ``DeadlockError`` is
 raised immediately with the machine's full per-PE forensics.  A
 separate bounded guard catches *livelock* (PEs spinning on bare
 ``yield``\\ s forever, which no scheduler can distinguish from a long
-courtesy-yield sequence): consecutive zero-progress rounds (compat
-disciplines, same 5-round bound the round-robin scheduler used) or
-consecutive zero-progress events (``des``).
+courtesy-yield sequence): consecutive zero-progress rounds
+(``compat-heap``) or consecutive zero-progress events (``des``).
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ from .events import (
 __all__ = ["EngineStats", "SimEngine", "LIVELOCK_ROUNDS"]
 
 #: Consecutive zero-progress scheduling rounds tolerated before the
-#: livelock guard trips (compat disciplines).  True deadlock never
+#: livelock guard trips (``compat-heap``).  True deadlock never
 #: consumes this budget — it is detected exactly, in zero rounds.
 LIVELOCK_ROUNDS = 5
 
@@ -92,7 +91,7 @@ LIVELOCK_ROUNDS = 5
 class EngineStats:
     """What one engine run cost, in scheduler work (not simulated time)."""
 
-    #: Discipline used: ``compat-heap``, ``compat-fullpoll``, or ``des``.
+    #: Discipline used: ``compat-heap`` or ``des``.
     discipline: str
     #: Generator resumptions performed (the dominant scheduler cost).
     steps: int = 0
@@ -104,11 +103,6 @@ class EngineStats:
     #: recovery; always zero under global restart).
     respawns: int = 0
 
-    @property
-    def steps_per_pe(self) -> float:
-        """Filled in by the machine: steps / num_pes."""
-        return float(self.steps)
-
 
 class SimEngine:
     """One run's event engine; constructed fresh by ``Machine.run``."""
@@ -117,12 +111,7 @@ class SimEngine:
         self.machine = machine
         self.queue = EventQueue()
         p = machine.num_pes
-        if machine.network.model == "contended":
-            discipline = "des"
-        elif machine.fault_plan is not None and machine.fault_plan.crashes:
-            discipline = "compat-fullpoll"
-        else:
-            discipline = "compat-heap"
+        discipline = "des" if machine.network.model == "contended" else "compat-heap"
         self.discipline = discipline
         self.stats = EngineStats(discipline=discipline)
         #: compat-heap scheduling state.
@@ -147,8 +136,6 @@ class SimEngine:
         self._values = values
         if self.discipline == "des":
             self._run_des()
-        elif self.discipline == "compat-fullpoll":
-            self._run_compat_fullpoll()
         else:
             self._run_compat_heap()
 
@@ -211,12 +198,14 @@ class SimEngine:
         self._schedule_resume(rank, max(time, self.queue.now))
 
     # ------------------------------------------------------------------
-    # compat-heap: round-robin emulation without the no-op polls
+    # compat-heap: rank-order polling rounds without the no-op polls
     # ------------------------------------------------------------------
     def _run_compat_heap(self) -> None:
-        from ..net.machine import DeadlockError
+        from ..net.machine import DeadlockError, PECrashError
 
         machine = self.machine
+        plan = machine.fault_plan
+        crash_ranks = sorted({c.rank for c in plan.crashes}) if plan is not None else []
         contexts = machine._contexts
         live = self._live
         gens = self._gens
@@ -232,9 +221,9 @@ class SimEngine:
             rnd, rank = heappop(heap)
             self.stats.events += 1
             if rnd > self._round:
-                # Round boundary: replicate the round-robin scheduler's
-                # livelock accounting (parked polls contribute no
-                # progress there either, so the counts agree).
+                # Round boundary: livelock accounting per polling round
+                # (parked polls would contribute no progress, so the
+                # counts agree with a schedule that makes them).
                 if machine._progress == round_progress:
                     idle_rounds += 1
                     if idle_rounds >= LIVELOCK_ROUNDS:
@@ -249,6 +238,8 @@ class SimEngine:
                 round_progress = machine._progress
             if rank not in live:
                 continue
+            if crash_ranks and plan.crash_due(rank, machine._progress):
+                raise PECrashError(rank, machine._progress)
             self._cur_rank = rank
             self.stats.steps += 1
             try:
@@ -257,20 +248,27 @@ class SimEngine:
                 values[rank] = stop.value
                 live.discard(rank)
                 machine._note_progress()
-                continue
-            ctx = contexts[rank]
-            tag = ctx._blocked_tag
-            if tag is not None and not ctx._inbox.get(tag):
-                # Resuming this PE again would be a no-op poll: park it
-                # until a message for its tag arrives.
-                parked[rank] = True
             else:
-                heappush(heap, (rnd + 1, rank))
+                ctx = contexts[rank]
+                tag = ctx._blocked_tag
+                if tag is not None and not ctx._inbox.get(tag):
+                    # Resuming this PE again would be a no-op poll: park
+                    # it until a message for its tag arrives.
+                    parked[rank] = True
+                else:
+                    heappush(heap, (rnd + 1, rank))
+            for crashing in crash_ranks:
+                # A polling round would visit this parked rank and fire
+                # its crash there; the counter has reached it, so the
+                # visit is no longer a no-op.
+                if parked[crashing] and plan.crash_pending(crashing, machine._progress):
+                    parked[crashing] = False
+                    self._requeue_compat(crashing)
         if live:
             # Exact detection: the ready heap is empty, so every live
             # PE is parked on an empty inbox and nothing in the machine
-            # can wake one — what the round-robin scheduler only
-            # concluded after its idle-round grace period.
+            # can wake one — what a polling scheduler only concludes
+            # after an idle-round grace period.
             raise DeadlockError(
                 machine._deadlock_diagnostic(live, self._deadlock_reason(live))
             )
@@ -283,71 +281,13 @@ class SimEngine:
             return
         self._parked_compat[dest] = False
         self.stats.wakeups += 1
-        # Round-robin placement: if the waker's rank precedes the woken
-        # PE's, the woken PE's turn in the current round is still ahead.
-        rnd = self._round if dest > self._cur_rank else self._round + 1
-        heappush(self._heap, (rnd, dest))
+        self._requeue_compat(dest)
 
-    # ------------------------------------------------------------------
-    # compat-fullpoll: exact crash coordinates under event-indexed plans
-    # ------------------------------------------------------------------
-    def _run_compat_fullpoll(self) -> None:
-        from ..net.machine import DeadlockError, PECrashError
-
-        machine = self.machine
-        plan = machine.fault_plan
-        contexts = machine._contexts
-        live = self._live
-        gens = self._gens
-        values = self._values
-
-        def is_parked(rank: int) -> bool:
-            ctx = contexts[rank]
-            tag = ctx._blocked_tag
-            return tag is not None and not ctx._inbox.get(tag)
-
-        idle_rounds = 0
-        while live:
-            before = machine._progress
-            finished: list[int] = []
-            for rank in sorted(live):
-                # The round-robin scheduler consults the crash schedule
-                # at every rank visit — parked or not — so this check
-                # stays outside the no-op-poll skip.
-                if plan.crash_due(rank, machine._progress):
-                    raise PECrashError(rank, machine._progress)
-                if is_parked(rank):
-                    continue
-                self.stats.steps += 1
-                self.stats.events += 1
-                try:
-                    next(gens[rank])
-                except StopIteration as stop:
-                    values[rank] = stop.value
-                    finished.append(rank)
-                    machine._note_progress()
-            live.difference_update(finished)
-            if machine._progress == before:
-                if live and all(is_parked(r) for r in live):
-                    # The event counter is frozen, so one more sweep
-                    # decides every crash the round-robin scheduler
-                    # could still have fired while idling; then the
-                    # deadlock is exact.
-                    for rank in sorted(live):
-                        if plan.crash_due(rank, machine._progress):
-                            raise PECrashError(rank, machine._progress)
-                    raise DeadlockError(
-                        machine._deadlock_diagnostic(live, self._deadlock_reason(live))
-                    )
-                idle_rounds += 1
-                if live and idle_rounds >= LIVELOCK_ROUNDS:
-                    raise DeadlockError(
-                        machine._deadlock_diagnostic(
-                            live, self._livelock_reason(idle_rounds)
-                        )
-                    )
-            else:
-                idle_rounds = 0
+    def _requeue_compat(self, rank: int) -> None:
+        # Polling-round placement: if the stepping rank precedes
+        # ``rank``, ``rank``'s turn in the current round is still ahead.
+        rnd = self._round if rank > self._cur_rank else self._round + 1
+        heappush(self._heap, (rnd, rank))
 
     # ------------------------------------------------------------------
     # des: time-ordered discrete-event execution (contended network)

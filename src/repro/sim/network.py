@@ -7,11 +7,10 @@ injected.  Two models are supported:
     The flat single-ported model of paper Section II-B that this repo
     has always used: the wire itself is infinitely capacious, both
     endpoints pay ``alpha + beta * l``, and a message becomes visible
-    at the sender's post-send clock.  Simulated times under this model
-    are bit-identical to the legacy round-robin scheduler (the
-    fingerprint test in ``tests/test_sim.py`` checks all eight
-    algorithm variants), so the committed BENCH baseline migrates
-    unchanged.
+    at the sender's post-send clock.  The engine runs this model as
+    strict rank-order polling rounds (the ``compat-heap`` discipline);
+    simulated times of all eight algorithm variants are frozen in
+    ``tests/golden/fingerprints.json``.
 
 ``"contended"``
     A two-level, link-capacitated hierarchy.  PEs are grouped into

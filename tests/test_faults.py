@@ -487,44 +487,6 @@ def test_event_engine_fault_traces_byte_identical_including_lossy():
         assert r1.events == r2.events, transport
 
 
-def test_fault_injection_bit_identical_between_schedulers():
-    """Compat guarantee extends to faulty runs: the event engine and the
-    round-robin scheduler draw the same fault decisions and charge the
-    same repair costs."""
-    graph = default_chaos_graph()
-    dist = distribute(graph, num_pes=3)
-
-    def one_run(scheduler):
-        plan = FaultPlan(31, drop_rate=0.08, duplicate_rate=0.04, delay_rate=0.03)
-        machine = Machine(3, fault_plan=plan, transport="reliable", scheduler=scheduler)
-        return machine.run(counting_program, dist, DITRIC_CONFIG)
-
-    ev = one_run("event")
-    rr = one_run("round-robin")
-    assert ev.values[0].triangles_total == rr.values[0].triangles_total
-    assert ev.time == rr.time
-    assert ev.events == rr.events
-    assert ev.metrics.total_retransmits == rr.metrics.total_retransmits
-    assert ev.metrics.summary() == rr.metrics.summary()
-
-
-def test_crash_coordinates_bit_identical_between_schedulers():
-    """The full-poll compat discipline replays crash-stop coordinates."""
-    graph = default_chaos_graph()
-    dist = distribute(graph, num_pes=3)
-    dry = Machine(3).run(counting_program, dist, DITRIC_CONFIG)
-    at_event = dry.events // 2
-
-    def crash_run(scheduler):
-        plan = FaultPlan(5, crashes=[CrashEvent(rank=1, at_event=at_event)])
-        machine = Machine(3, fault_plan=plan, scheduler=scheduler)
-        with pytest.raises(PECrashError) as err:
-            machine.run(counting_program, dist, DITRIC_CONFIG)
-        return err.value.rank, err.value.event
-
-    assert crash_run("event") == crash_run("round-robin") == (1, at_event)
-
-
 # ----------------------------------------------------------------------
 # Crash-stops of parked PEs (event-indexed plans on the alpha-beta model)
 # ----------------------------------------------------------------------

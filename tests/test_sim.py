@@ -1,13 +1,11 @@
 """The event-driven simulation engine (``repro.sim``).
 
-Three contracts under test:
+Contracts under test (the bit-identity of the default
+``Network(model="alpha-beta")`` schedule across all eight algorithm
+variants is frozen in ``tests/golden/fingerprints.json`` and checked by
+``tests/test_golden.py``):
 
-1. **Compat bit-identity** (the migration guarantee): under the default
-   ``Network(model="alpha-beta")``, the event scheduler replays the
-   legacy round-robin scheduler bit-identically — same values, same
-   ``simulated_time``, same per-PE message/word counters, same event
-   counter — across all eight algorithm variants (fingerprint in the
-   style of ``tests/test_frames.py``).
+1. **Engine stats**: every run reports its scheduler work.
 2. **Exact deadlock detection**: an all-blocked machine raises
    :class:`DeadlockError` from the empty event queue immediately, with
    the full per-PE forensics; courtesy yields never trip it.
@@ -19,8 +17,6 @@ Three contracts under test:
 import pytest
 
 from repro.analysis.runner import _ENGINE_CONFIGS
-from repro.baselines.havoqgt import havoqgt_program
-from repro.baselines.tric import tric_program
 from repro.core.edge_iterator import edge_iterator
 from repro.core.engine import counting_program
 from repro.graphs import distribute
@@ -141,82 +137,20 @@ def test_bind_rederives_constants_and_resets_links():
 
 
 # ---------------------------------------------------------------------------
-# Machine facade / scheduler selection
+# Machine facade
 # ---------------------------------------------------------------------------
 
 
-def test_unknown_scheduler_rejected():
-    with pytest.raises(ValueError, match="scheduler"):
-        Machine(2, scheduler="fifo")
-
-
-def test_round_robin_refuses_contended_network():
-    with pytest.raises(ValueError, match="round-robin"):
-        Machine(2, network=Network(model="contended"), scheduler="round-robin")
-
-
-def test_engine_stats_reported_only_by_event_scheduler():
+def test_engine_stats_reported_for_every_run():
     def prog(ctx):
         yield from barrier(ctx)
         return ctx.rank
 
-    ev = Machine(4).run(prog)
-    rr = Machine(4, scheduler="round-robin").run(prog)
-    assert ev.engine is not None and ev.engine.discipline == "compat-heap"
-    assert ev.engine.steps > 0 and ev.engine.wakeups > 0
-    assert rr.engine is None
+    res = Machine(4).run(prog)
+    assert res.engine.discipline == "compat-heap"
+    assert res.engine.steps > 0 and res.engine.wakeups > 0
     # alpha-beta runs carry no link stats (nothing to contend for).
-    assert ev.network is None
-
-
-# ---------------------------------------------------------------------------
-# Compat bit-identity fingerprint: 2 generators x 3 seeds x 8 variants
-# ---------------------------------------------------------------------------
-
-ALGOS = (*_ENGINE_CONFIGS, "tric", "havoqgt")
-
-
-def _program_of(algorithm, dist):
-    if algorithm in _ENGINE_CONFIGS:
-        return counting_program, (dist, _ENGINE_CONFIGS[algorithm])
-    if algorithm == "tric":
-        return tric_program, (dist,)
-    return havoqgt_program, (dist,)
-
-
-def _graph(generator, seed):
-    if generator == "rmat":
-        return gen.rmat(8, 8, seed=seed)
-    return gen.rgg3d(300, expected_edges=2400, seed=seed)
-
-
-def _triangles_of(value):
-    return getattr(value, "triangles_total", None) or getattr(value, "triangles", value)
-
-
-@pytest.mark.parametrize("seed", [101, 102, 103])
-@pytest.mark.parametrize("generator", ["rmat", "rgg3d"])
-def test_event_scheduler_is_bit_identical_to_round_robin(generator, seed):
-    graph = _graph(generator, seed)
-    truth = edge_iterator(graph).triangles
-    dist = distribute(graph, num_pes=4)
-    for algorithm in ALGOS:
-        program, args = _program_of(algorithm, dist)
-        ev = Machine(4).run(program, *args)
-        rr = Machine(4, scheduler="round-robin").run(program, *args)
-        label = f"{algorithm}/{generator}/{seed}"
-        # Same answer, and the right one.
-        assert _triangles_of(ev.values[0]) == truth, label
-        # Bit-identical simulated time and event counter.
-        assert ev.time == rr.time, label
-        assert ev.events == rr.events, label
-        # Bit-identical per-PE communication accounting.
-        for em, rm in zip(ev.metrics.per_pe, rr.metrics.per_pe):
-            assert em.clock == rm.clock, label
-            assert em.messages_sent == rm.messages_sent, label
-            assert em.words_sent == rm.words_sent, label
-            assert em.messages_received == rm.messages_received, label
-            assert em.words_received == rm.words_received, label
+    assert res.network is None
 
 
 # ---------------------------------------------------------------------------
@@ -260,26 +194,6 @@ def test_livelock_guard_catches_infinite_spinner():
     with pytest.raises(DeadlockError) as err:
         Machine(2).run(prog)
     assert "livelock" in str(err.value)
-
-
-def test_wakeup_mid_round_matches_round_robin_order():
-    """A message sent by a lower rank wakes a higher rank in-round."""
-
-    def prog(ctx):
-        if ctx.rank == 0:
-            ctx.charge(10)
-            ctx.send(2, "t", "x", 1)
-        elif ctx.rank == 2:
-            msg = yield from ctx.recv("t")
-            return msg.payload
-        return None
-        yield  # pragma: no cover
-
-    ev = Machine(3).run(prog)
-    rr = Machine(3, scheduler="round-robin").run(prog)
-    assert ev.values == rr.values == [None, None, "x"]
-    assert ev.time == rr.time
-    assert ev.events == rr.events
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +297,8 @@ def test_fingerprint_algorithms_run_on_contended_network():
     truth = edge_iterator(graph).triangles
     dist = distribute(graph, num_pes=4)
     for algorithm in ("ditric", "cetric"):
-        program, args = _program_of(algorithm, dist)
         res = Machine(
             4, network=Network(model="contended", node_size=2)
-        ).run(program, *args)
-        assert _triangles_of(res.values[0]) == truth, algorithm
+        ).run(counting_program, dist, _ENGINE_CONFIGS[algorithm])
+        assert res.values[0].triangles_total == truth, algorithm
         assert res.time > 0.0
