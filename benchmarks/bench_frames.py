@@ -16,7 +16,9 @@ frame path removes and assert the headline >= 2x speedup.  The emitted
 visible in benchmark history.
 """
 
+import json
 import time
+from pathlib import Path
 
 import harness
 import numpy as np
@@ -33,6 +35,21 @@ from repro.net import BufferedMessageQueue, Machine, Record, RecordFrame
 
 SCALE = 14
 NUM_PES = 16
+#: The exchange as the per-record arm computed it (section
+#: ``bench_frames`` of the golden fingerprints).
+GOLDEN = json.loads(
+    (Path(__file__).parent.parent / "tests" / "golden" / "fingerprints.json").read_text()
+)["bench_frames"]
+
+
+def exchange_fingerprint(result):
+    """Received (records, neighbor words) per PE and the exact charges."""
+    return {
+        "values": [list(v) for v in result.values],
+        "time": result.time,
+        "words_sent": [m.words_sent for m in result.metrics.per_pe],
+        "messages_sent": [m.messages_sent for m in result.metrics.per_pe],
+    }
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +122,7 @@ def test_bench_frame_path_speedup(benchmark, cut_batches, results_dir):
     legacy, frames, wall_legacy, wall_frames = run_once(benchmark, both_arms)
 
     # Same exchange, observationally: contents, charges, clock.
+    assert exchange_fingerprint(legacy) == GOLDEN
     assert frames.values == legacy.values
     assert frames.time == legacy.time
     for fm, lm in zip(frames.metrics.per_pe, legacy.metrics.per_pe):

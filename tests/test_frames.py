@@ -5,8 +5,14 @@ The contract under test (``docs/PERFORMANCE.md``): the frame path
 identical to the legacy path (one ``post(Record(...))`` per record) —
 same received contents, same charged words, same flush boundaries, same
 kernel totals — on the simulated :class:`Machine` and on the real
-process backend :class:`ProcessMachine`.
+process backend :class:`ProcessMachine`.  The per-record outcomes are
+pinned in the ``queue_reference`` section of
+``tests/golden/fingerprints.json``.
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +28,10 @@ from repro.net import (
 )
 from repro.net.frames import BROADCAST, FrameBuilder
 from repro.net.parallel import ProcessMachine
+
+QUEUE_REFERENCE = json.loads(
+    (Path(__file__).parent / "golden" / "fingerprints.json").read_text()
+)["queue_reference"]
 
 
 def _random_batch(rng, num_pes, n):
@@ -142,11 +152,42 @@ def exchange_program(ctx, seed, threshold, mode, n=60):
     return (flushes, _canon(received), q.records_posted)
 
 
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def queue_key(num_pes, n, seed, threshold) -> str:
+    """Key of one ``exchange_program`` run in ``queue_reference``."""
+    return f"p{num_pes}/n{n}/s{seed}/t{threshold}"
+
+
+def queue_fingerprint(result):
+    """What ``queue_reference`` pins of one ``exchange_program`` run.
+
+    Received records as digests of the arrival-ordered and of the
+    sorted canonical sequence (a process backend may interleave
+    sources differently), plus the exact charges.
+    """
+    per_pe = result.metrics.per_pe
+    return {
+        "flushes": [v[0] for v in result.values],
+        "records_posted": [v[2] for v in result.values],
+        "num_received": [len(v[1]) for v in result.values],
+        "received": [_digest(v[1]) for v in result.values],
+        "received_sorted": [_digest(sorted(v[1])) for v in result.values],
+        "time": result.time,
+        "messages_sent": [m.messages_sent for m in per_pe],
+        "words_sent": [m.words_sent for m in per_pe],
+        "peak_buffer_words": [m.peak_buffer_words for m in per_pe],
+    }
+
+
 @pytest.mark.parametrize("threshold", THRESHOLDS)
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_machine_frame_path_is_bit_identical_to_legacy(seed, threshold):
     legacy = Machine(4).run(exchange_program, seed, threshold, "legacy")
     frames = Machine(4).run(exchange_program, seed, threshold, "frames")
+    assert queue_fingerprint(frames) == QUEUE_REFERENCE[queue_key(4, 60, seed, threshold)]
     # Same received contents in the same order, same flush boundaries,
     # same per-record bookkeeping.
     assert frames.values == legacy.values
@@ -237,6 +278,7 @@ def test_count_record_pairs_frame_equals_record_list(seed):
 def test_process_machine_exchange_matches_simulator(mode):
     sim = Machine(2).run(exchange_program, 4, 25, mode, 30)
     par = ProcessMachine(2).run(exchange_program, 4, 25, mode, 30)
+    assert queue_fingerprint(sim) == QUEUE_REFERENCE[queue_key(2, 30, 4, 25)]
     # Contents are set-identical per PE (real delivery may interleave
     # sources differently); flush counts and words are exact.
     for (sf, sc, sp), (pf, pc, pp) in zip(sim.values, par.values):
@@ -251,6 +293,12 @@ def test_process_machine_exchange_matches_simulator(mode):
 def test_process_machine_frame_path_matches_legacy_words():
     legacy = ProcessMachine(2).run(exchange_program, 9, 25, "legacy", 30)
     frames = ProcessMachine(2).run(exchange_program, 9, 25, "frames", 30)
+    want = QUEUE_REFERENCE[queue_key(2, 30, 9, 25)]
+    for rank, (f, c, posted) in enumerate(frames.values):
+        assert (f, posted) == (want["flushes"][rank], want["records_posted"][rank])
+        assert _digest(sorted(c)) == want["received_sorted"][rank]
+    assert [m.words_sent for m in frames.metrics.per_pe] == want["words_sent"]
+    assert [m.messages_sent for m in frames.metrics.per_pe] == want["messages_sent"]
     for (lf, lc, lp), (ff, fc, fp) in zip(legacy.values, frames.values):
         assert lf == ff
         assert lp == fp

@@ -18,16 +18,29 @@ network.  Each section below recomputes one part of the file:
   over a (variant, p, rank, fraction) sweep on the chaos graph, plus
   two-crash global restarts;
 * ``chaos`` — the ``make chaos`` campaign, outcome by outcome, and its
-  printed table.
+  printed table;
+* ``amq`` — the AMQ global phase (Bloom and single-shot Bloom filters,
+  direct and over the grid router) and the approximate LCC: the float
+  estimates as ``repr``, per-PE remote parts or a digest of the
+  per-vertex Δ, simulated time, per-PE messages/words and buffer peaks.
+  These estimates are float sums, so they pin the order in which
+  records are posted and received.
 
-``engine_scale`` (simulated time and engine steps per p of the
-idle-PE benchmark) is checked by ``benchmarks/bench_engine_scale.py``.
+Three sections are checked where the code they pin lives:
+``queue_reference`` (the aggregation queue's outcomes on random record
+batches, recorded from one ``post`` per record) by
+``tests/test_frames.py``; ``engine_scale`` (simulated time and engine
+steps per p of the idle-PE benchmark) by
+``benchmarks/bench_engine_scale.py``; ``bench_frames`` (the exchange
+of the frame benchmark, recorded from its per-record arm) by
+``benchmarks/bench_frames.py``.
 
 Nothing regenerates the file.  A change that alters the model edits the
 JSON and says why.
 """
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -36,6 +49,7 @@ import pytest
 from repro.analysis.runner import _ENGINE_CONFIGS
 from repro.baselines.havoqgt import havoqgt_program
 from repro.baselines.tric import tric_program
+from repro.core.approx import amq_cetric_program, amq_lcc_program
 from repro.core.checkpoint import CheckpointStore, run_with_recovery
 from repro.core.engine import counting_program
 from repro.faults import CrashEvent, FaultPlan, format_campaign, run_campaign
@@ -61,6 +75,11 @@ TWO_CRASH_CASES = (
     (4, ((2, 0.5), (2, 0.5))),
     (4, ((3, 0.8), (1, 0.1))),
 )
+
+AMQ_KINDS = ("bloom", "ssbf")
+AMQ_PES = (4, 7, 9)
+#: Direct queue (CETRIC) and grid router (CETRIC²) global phases.
+AMQ_ROUTES = ("cetric", "cetric2")
 
 
 def _plain(obj):
@@ -195,6 +214,42 @@ def chaos_campaign():
     )
 
 
+def _amq_graph():
+    return gen.rmat(9, 8, seed=5)
+
+
+def _amq_fingerprint(res):
+    per_pe = res.metrics.per_pe
+    return {
+        "estimate": repr(res.values[0].estimate_total),
+        "time": res.time,
+        "messages_sent": [m.messages_sent for m in per_pe],
+        "words_sent": [m.words_sent for m in per_pe],
+        "peak_buffer_words": [m.peak_buffer_words for m in per_pe],
+    }
+
+
+def amq_runs():
+    graph = _amq_graph()
+    out = {}
+    for p in AMQ_PES:
+        dist = distribute(graph, num_pes=p)
+        for kind in AMQ_KINDS:
+            for route in AMQ_ROUTES:
+                res = Machine(p).run(
+                    amq_cetric_program, dist, amq_kind=kind, config=_ENGINE_CONFIGS[route]
+                )
+                fp = _amq_fingerprint(res)
+                fp["approx_remote"] = [repr(v.approx_remote) for v in res.values]
+                out[f"cetric/{kind}/{route}/p{p}"] = fp
+            res = Machine(p).run(amq_lcc_program, dist, amq_kind=kind)
+            fp = _amq_fingerprint(res)
+            delta = b"".join(v.delta.astype("<f8").tobytes() for v in res.values)
+            fp["delta_sha256"] = hashlib.sha256(delta).hexdigest()
+            out[f"lcc/{kind}/p{p}"] = fp
+    return _plain(out)
+
+
 def _assert_matches(got, want, label):
     assert set(got) == set(want), label
     for key in want:
@@ -223,3 +278,7 @@ def test_chaos_campaign_matches_golden():
     got = chaos_campaign()
     assert got["table"] == GOLDEN["chaos"]["table"]
     assert got["outcomes"] == GOLDEN["chaos"]["outcomes"]
+
+
+def test_amq_matches_golden():
+    _assert_matches(amq_runs(), GOLDEN["amq"], "amq")
