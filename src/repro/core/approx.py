@@ -23,6 +23,11 @@ DOULION and colorful need a triangle counter as a black box — any of
 this package's exact algorithms — and only approximate the *global*
 count, whereas the AMQ scheme also supports approximate local
 clustering coefficients (the property the paper highlights).
+
+The AMQ records travel as an :class:`AmqFrame`, a frame kind of
+:mod:`repro.net.frames` whose filters form an object column, so they
+share the aggregation queue and the grid router with the exact
+algorithms' neighborhood frames.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from ..graphs.csr import CSRGraph
 from ..graphs.distributed import DistGraph
 from ..net.aggregation import BufferedMessageQueue
 from ..net.comm import allreduce, alltoallv_dense
+from ..net.frames import csr_concat, csr_select
 from ..net.indirect import GridRouter
 from ..net.machine import PEContext
 from .edge_iterator import edge_iterator
@@ -46,7 +52,7 @@ from .engine import EngineConfig, _local_phase_pairs, _surrogate_filter
 from .preprocessing import build_oriented, exchange_ghost_degrees
 
 __all__ = [
-    "AmqRecord",
+    "AmqFrame",
     "PEApproxCounts",
     "PEApproxLcc",
     "amq_cetric_program",
@@ -58,26 +64,77 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class AmqRecord:
-    """Global-phase record with an AMQ instead of the raw neighborhood.
+class AmqFrame:
+    """Global-phase records with an AMQ instead of the raw neighborhood.
 
-    ``targets`` lists the members of ``A(v)`` owned by the destination
-    PE (the sender knows them — they are the reason the record is sent
-    at all), so the receiver knows which local intersections to
-    evaluate; only the *rest* of ``A(v)`` is compressed away into the
-    filter.
+    Record ``i`` is ``(vertices[i], targets[xadj[i]:xadj[i+1]],
+    filters[i])``.  The targets list the members of ``A(v)`` owned by
+    the destination PE (the sender knows them — they are the reason the
+    record is sent at all), so the receiver knows which local
+    intersections to evaluate; only the *rest* of ``A(v)`` is
+    compressed away into the filter.  ``filters`` is an object column of
+    :class:`~repro.amq.bloom.BloomFilter` or
+    :class:`~repro.amq.ssbf.SingleShotBloomFilter`.
     """
 
-    vertex: int
+    vertices: np.ndarray
+    xadj: np.ndarray
     targets: np.ndarray
-    amq: BloomFilter | SingleShotBloomFilter
-    #: |A(v)| at the sender (needed by nobody, kept for diagnostics).
-    source_size: int
+    filters: np.ndarray
+
+    @classmethod
+    def single(
+        cls, vertex: int, targets: np.ndarray, amq: BloomFilter | SingleShotBloomFilter
+    ) -> "AmqFrame":
+        """The one-record frame ``(vertex, targets, amq)``."""
+        filters = np.empty(1, dtype=object)
+        filters[0] = amq
+        return cls(
+            np.array([vertex], dtype=np.int64),
+            np.array([0, targets.size], dtype=np.int64),
+            np.asarray(targets, dtype=np.int64),
+            filters,
+        )
+
+    @classmethod
+    def concat(cls, parts) -> "AmqFrame":
+        """All records of ``parts``, in order, as one frame."""
+        if not parts:
+            z = np.empty(0, dtype=np.int64)
+            return cls(z, np.zeros(1, dtype=np.int64), z.copy(), np.empty(0, dtype=object))
+        if len(parts) == 1:
+            return parts[0]
+        xadj, targets = csr_concat([p.xadj for p in parts], [p.targets for p in parts])
+        return cls(
+            np.concatenate([p.vertices for p in parts]),
+            xadj,
+            targets,
+            np.concatenate([p.filters for p in parts]),
+        )
 
     @property
-    def words(self) -> int:
-        """Wire size: targets + filter + (vertex, sizes) header."""
-        return int(self.targets.size) + int(self.amq.storage_words) + 3
+    def num_records(self) -> int:
+        """Number of records in the frame."""
+        return int(self.vertices.size)
+
+    def record_words(self) -> np.ndarray:
+        """Per-record wire size: targets + filter + (vertex, sizes) header."""
+        filter_words = np.fromiter(
+            (f.storage_words for f in self.filters), dtype=np.int64, count=self.num_records
+        )
+        return np.diff(self.xadj) + filter_words + np.int64(3)
+
+    def select(self, idx: np.ndarray) -> "AmqFrame":
+        """Sub-frame of the records listed in ``idx`` (in that order)."""
+        idx = np.asarray(idx, dtype=np.int64)
+        xadj, targets = csr_select(self.xadj, self.targets, idx)
+        return AmqFrame(self.vertices[idx], xadj, targets, self.filters[idx])
+
+    def records(self):
+        """``(vertex, targets, filter)`` per record, in frame order."""
+        bounds = self.xadj.tolist()
+        for i, amq in enumerate(self.filters):
+            yield int(self.vertices[i]), self.targets[bounds[i] : bounds[i + 1]], amq
 
 
 @dataclass
@@ -107,6 +164,38 @@ def _make_amq(
         raise ValueError("kind must be 'bloom' or 'ssbf'")
     f.add(neighborhood)
     return f
+
+
+def _post_amq_runs(
+    ctx: PEContext,
+    router,
+    kind: Literal["bloom", "ssbf"],
+    budget: float,
+    send_xadj: np.ndarray,
+    send_adj: np.ndarray,
+    c_src: np.ndarray,
+    c_dst: np.ndarray,
+    dst_ranks: np.ndarray,
+    vlo: int,
+) -> None:
+    """Post one AMQ record per (vertex, destination PE) run of cut arcs.
+
+    The run members are exactly the receiver-side targets.  One post
+    per run, not one ``post_many``: each filter build is charged before
+    its record is posted, so a flush happens at the same simulated time
+    as the builds that filled the buffer.
+    """
+    first = _surrogate_filter(c_src, dst_ranks, enabled=True)
+    ctx.charge(c_src.size)
+    run_starts = np.flatnonzero(first)
+    run_ends = np.concatenate([run_starts[1:], [c_src.size]])
+    for start, end in zip(run_starts.tolist(), run_ends.tolist()):
+        slot = int(c_src[start])
+        v = vlo + slot
+        nbh = send_adj[send_xadj[slot] : send_xadj[slot + 1]]
+        amq = _make_amq(kind, nbh, v, budget)
+        ctx.charge(nbh.size)  # filter construction
+        router.post(int(dst_ranks[start]), AmqFrame.single(v, c_dst[start:end], amq))
 
 
 def amq_cetric_program(
@@ -159,39 +248,19 @@ def amq_cetric_program(
         c_src = s_src[cut_mask]
         c_dst = send_adj[cut_mask]
         dst_ranks = lg.partition.rank_of(c_dst) if c_dst.size else c_dst
-        first = _surrogate_filter(c_src, dst_ranks, enabled=True)
-        ctx.charge(c_src.size)
-        # Group cut arcs into (vertex, destination PE) runs; the run
-        # members are exactly the receiver-side targets.
-        run_starts = np.flatnonzero(first)
-        run_ends = np.concatenate([run_starts[1:], [c_src.size]])
-        # Per-run loop, not post_many: each run builds an opaque AMQ
-        # payload (a Bloom filter is inherently a per-destination
-        # object), so there is no frameable array batch to pack.
-        for start, end in zip(run_starts.tolist(), run_ends.tolist()):
-            slot = int(c_src[start])
-            rank = int(dst_ranks[start])
-            v = vlo + slot
-            nbh = send_adj[send_xadj[slot] : send_xadj[slot + 1]]
-            amq = _make_amq(amq_kind, nbh, v, budget)
-            ctx.charge(nbh.size)  # filter construction
-            rec = AmqRecord(
-                vertex=v,
-                targets=c_dst[start:end],
-                amq=amq,
-                source_size=int(nbh.size),
-            )
-            router.post(rank, rec)
-        records = yield from router.finalize()
+        _post_amq_runs(
+            ctx, router, amq_kind, budget, send_xadj, send_adj, c_src, c_dst, dst_ranks, vlo
+        )
+        received = AmqFrame.concat((yield from router.finalize()))
 
         approx_remote = 0.0
-        for rec in records:
-            fpr = rec.amq.expected_fpr()
-            for u in rec.targets.tolist():
+        for _, targets, amq in received.records():
+            fpr = amq.expected_fpr()
+            for u in targets.tolist():
                 a_u = send_adj[send_xadj[u - vlo] : send_xadj[u - vlo + 1]]
                 if a_u.size == 0:
                     continue
-                hits = int(np.count_nonzero(rec.amq.query(a_u)))
+                hits = int(np.count_nonzero(amq.query(a_u)))
                 ctx.charge(a_u.size)
                 if correct_bias and fpr < 1.0:
                     approx_remote += (hits - a_u.size * fpr) / (1.0 - fpr)
@@ -281,35 +350,17 @@ def amq_lcc_program(
         c_src = s_src
         c_dst = send_adj
         dst_ranks = lg.partition.rank_of(c_dst) if c_dst.size else c_dst
-        first = _surrogate_filter(c_src, dst_ranks, enabled=True)
-        ctx.charge(c_src.size)
-        run_starts = np.flatnonzero(first)
-        run_ends = np.concatenate([run_starts[1:], [c_src.size]])
-        # Per-run loop as in amq_cetric_program: opaque AMQ payloads.
-        for start, end in zip(run_starts.tolist(), run_ends.tolist()):
-            slot = int(c_src[start])
-            rank = int(dst_ranks[start])
-            v = vlo + slot
-            nbh = send_adj[send_xadj[slot] : send_xadj[slot + 1]]
-            amq = _make_amq(amq_kind, nbh, v, budget)
-            ctx.charge(nbh.size)
-            router.post(
-                rank,
-                AmqRecord(
-                    vertex=v,
-                    targets=c_dst[start:end],
-                    amq=amq,
-                    source_size=int(nbh.size),
-                ),
-            )
-        records = yield from router.finalize()
-        for rec in records:
-            fpr = rec.amq.expected_fpr()
-            for u in rec.targets.tolist():
+        _post_amq_runs(
+            ctx, router, amq_kind, budget, send_xadj, send_adj, c_src, c_dst, dst_ranks, vlo
+        )
+        received = AmqFrame.concat((yield from router.finalize()))
+        for v, targets, amq in received.records():
+            fpr = amq.expected_fpr()
+            for u in targets.tolist():
                 a_u = send_adj[send_xadj[u - vlo] : send_xadj[u - vlo + 1]]
                 if a_u.size == 0:
                     continue
-                positive = rec.amq.query(a_u)
+                positive = amq.query(a_u)
                 ctx.charge(a_u.size)
                 hits = int(np.count_nonzero(positive))
                 if hits == 0:
@@ -319,7 +370,7 @@ def amq_lcc_program(
                 else:
                     weight = 1.0
                 # Corners: record vertex v (ghost), owned u, positives w.
-                credit(np.array([rec.vertex], dtype=np.int64), weight * hits)
+                credit(np.array([v], dtype=np.int64), weight * hits)
                 delta_local[u - vlo] += weight * hits
                 credit(a_u[positive], weight)
         yield

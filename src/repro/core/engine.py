@@ -51,9 +51,9 @@ import numpy as np
 from ..graphs.distributed import DistGraph
 from ..net.aggregation import BufferedMessageQueue
 from ..net.comm import allreduce
+from ..net.frames import RecordFrame
 from ..net.indirect import GridRouter
 from ..net.machine import PEContext
-from ..net.messages import HEADER_WORDS
 from ..net.reliable import fault_tolerant
 from .intersect import gather_blocks
 from .kernels import count_csr_pairs, count_record_pairs
@@ -187,8 +187,8 @@ def _post_cut_neighborhoods(
 
     With ``targeted`` (Algorithm 2 shape) each record carries its owned
     endpoint ``c_dst``; otherwise the records are surrogate broadcasts.
-    Returns ``(records, words)`` posted — ``words`` is exactly the sum
-    of the per-record ``Record.words`` charges.
+    Returns ``(records, words)`` posted — ``words`` is the frame's
+    charged wire size.
     """
     slots = c_src[sends]
     k = int(slots.size)
@@ -196,9 +196,9 @@ def _post_cut_neighborhoods(
         return 0, 0
     neighbors, nbh_xadj = gather_blocks(send_xadj, send_adj, slots)
     targets = c_dst[sends] if targeted else np.full(k, -1, dtype=np.int64)
-    router.post_many(dst_ranks[sends], vlo + slots, targets, nbh_xadj, neighbors)
-    words = int(neighbors.size) + HEADER_WORDS * k + (k if targeted else 0)
-    return k, words
+    frame = RecordFrame(vlo + slots, targets, nbh_xadj, neighbors)
+    router.post_many(dst_ranks[sends], frame)
+    return k, frame.words
 
 
 @fault_tolerant
@@ -299,10 +299,10 @@ def counting_program(
             targeted=not config.surrogate,
         )
         ctx.charge(posted_words)  # buffer writes
-        records = yield from router.finalize()
+        received = RecordFrame.concat((yield from router.finalize()))
         remote_count = count_record_pairs(
             ctx,
-            records,
+            received,
             send_xadj if config.contraction else og.oxadj,
             send_adj if config.contraction else og.oadjncy,
             vlo,

@@ -23,6 +23,7 @@ import numpy as np
 from ..graphs.distributed import DistGraph
 from ..net.aggregation import BufferedMessageQueue
 from ..net.comm import allreduce
+from ..net.frames import RecordFrame
 from ..net.indirect import GridRouter
 from ..net.machine import PEContext
 from .engine import EngineConfig, _post_cut_neighborhoods, _surrogate_filter
@@ -97,10 +98,10 @@ def enumerate_program(
             router, send_xadj, send_adj, c_src, c_dst, dst_ranks, sends, vlo,
             targeted=False,
         )
-        records = yield from router.finalize()
+        received = RecordFrame.concat((yield from router.finalize()))
         rv, ru, rw = record_pairs_elements(
             ctx,
-            records,
+            received,
             send_xadj if config.contraction else og.oxadj,
             send_adj if config.contraction else og.oadjncy,
             vlo,

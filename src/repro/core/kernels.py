@@ -8,8 +8,7 @@ bounded even when a PE processes millions of arc pairs.
 Received record batches arrive as a
 :class:`~repro.net.frames.RecordFrame` — already in the CSR layout the
 batch kernels consume — so the receiver side runs without any
-per-record Python iteration.  Plain ``list[Record]`` inputs (hand-rolled
-callers, the TriC baseline) are packed into a frame on entry.
+per-record Python iteration.
 
 The ``batch_intersect_*`` calls dispatch to the kernel backend selected
 via :mod:`repro.core.backends` (``REPRO_KERNEL_BACKEND`` /
@@ -25,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..net.frames import Record, RecordFrame
+from ..net.frames import RecordFrame
 from ..net.machine import PEContext
 from .intersect import (
     batch_intersect_count,
@@ -34,7 +33,6 @@ from .intersect import (
 )
 
 __all__ = [
-    "as_frame",
     "count_csr_pairs",
     "count_record_pairs",
     "record_pairs_elements",
@@ -49,13 +47,6 @@ def chunked(total: int, chunk: int = CHUNK_PAIRS) -> Iterator[slice]:
     """Yield slices covering ``range(total)`` in ``chunk``-sized pieces."""
     for start in range(0, total, chunk):
         yield slice(start, min(start + chunk, total))
-
-
-def as_frame(records: RecordFrame | list[Record]) -> RecordFrame:
-    """Frame view of a received batch (packs legacy record lists)."""
-    if isinstance(records, RecordFrame):
-        return records
-    return RecordFrame.from_records(records)
 
 
 def count_csr_pairs(
@@ -135,7 +126,7 @@ def _expand_record_pairs(
 
 def count_record_pairs(
     ctx: PEContext,
-    records: RecordFrame | list[Record],
+    frame: RecordFrame,
     local_xadj: np.ndarray,
     local_adj: np.ndarray,
     vlo: int,
@@ -150,7 +141,6 @@ def count_record_pairs(
     array with the local ``A(u)`` (Algorithm 2 lines 6-7 /
     Algorithm 3 lines 14-16).
     """
-    frame = as_frame(records)
     rxadj, radj, rec_idx, targets = _expand_record_pairs(ctx, frame, vlo, vhi)
     if rec_idx.size == 0:
         return 0
@@ -167,7 +157,7 @@ def count_record_pairs(
 
 def record_pairs_elements(
     ctx: PEContext,
-    records: RecordFrame | list[Record],
+    frame: RecordFrame,
     local_xadj: np.ndarray,
     local_adj: np.ndarray,
     vlo: int,
@@ -181,7 +171,6 @@ def record_pairs_elements(
     middle vertex and ``w`` the closing vertex.  Needed by the LCC
     extension, which must credit all three corners.
     """
-    frame = as_frame(records)
     rxadj, radj, rec_idx, targets = _expand_record_pairs(ctx, frame, vlo, vhi)
     if rec_idx.size == 0:
         e = np.empty(0, dtype=np.int64)

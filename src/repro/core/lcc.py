@@ -24,6 +24,7 @@ from ..graphs.csr import CSRGraph
 from ..graphs.distributed import DistGraph
 from ..net.aggregation import BufferedMessageQueue
 from ..net.comm import allreduce, alltoallv_dense
+from ..net.frames import RecordFrame
 from ..net.indirect import GridRouter
 from ..net.machine import PEContext
 from .edge_iterator import edge_iterator_per_vertex
@@ -186,10 +187,10 @@ def lcc_program(
             router, send_xadj, send_adj, c_src, c_dst, dst_ranks, sends, vlo,
             targeted=False,
         )
-        records = yield from router.finalize()
+        received = RecordFrame.concat((yield from router.finalize()))
         rv, ru, rw = record_pairs_elements(
             ctx,
-            records,
+            received,
             send_xadj if config.contraction else og.oxadj,
             send_adj if config.contraction else og.oadjncy,
             vlo,

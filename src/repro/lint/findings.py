@@ -37,7 +37,7 @@ RULES: dict[str, str] = {
     ),
     "R7": (
         "per-record Record post inside a Python loop over unpacked "
-        "arrays — use the packed post_many(...) frame path, which "
+        "arrays — use one post_many(dest_ranks, frame) call, which "
         "charges identical words without per-element interpreter cost"
     ),
     "R8": (

@@ -41,7 +41,7 @@ __all__ = ["FunctionDecl", "CallGraph"]
 #: sending): the queues' ``post*``/``flush`` charge wire words when they
 #: flush, and every ``ctx.send`` is charged by the machine itself.
 _CHARGE_ATTRS = frozenset(
-    {"charge", "charge_time", "send", "post", "post_many", "post_items", "flush"}
+    {"charge", "charge_time", "send", "post", "post_many", "flush"}
 )
 _CHARGE_NAMES = frozenset({"reliable_send"})
 

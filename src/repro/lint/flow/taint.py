@@ -134,7 +134,7 @@ def mentions_rank(expr: ast.AST, rank_aliases: set[str]) -> bool:
 
 # -- R10: unordered iteration feeding message destinations -------------
 
-_SEND_ATTRS = frozenset({"send", "post", "post_items"})
+_SEND_ATTRS = frozenset({"send", "post"})
 
 
 def _body_sends(body: list[ast.stmt]) -> bool:

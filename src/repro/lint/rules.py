@@ -75,13 +75,14 @@ R7
     The message hot path must stay vectorized: unpacking numpy arrays
     element-wise (``.tolist()``, ``zip(a.tolist(), ...)``,
     ``range(len(a))``, ``range(a.size)``) just to ``post`` one
-    :class:`~repro.net.frames.Record` per element rebuilds in Python
-    what ``post_many`` does in one packed
-    :class:`~repro.net.frames.RecordFrame` call — same contents, same
-    words charge, a fraction of the interpreter overhead.  Only plain
-    ``Record`` payloads are flagged: opaque per-destination objects
-    (e.g. ``AmqRecord`` Bloom filters) have no frameable array batch
-    and legitimately post one at a time.
+    ``Record(...)`` object per element rebuilds in Python what one
+    ``post_many(dest_ranks, frame)`` call does with a packed
+    :class:`~repro.net.frames.RecordFrame` — same contents, same words
+    charge, a fraction of the interpreter overhead.  Only ``Record``
+    payloads are flagged: a loop that must do per-record work between
+    posts (the AMQ phase charges each filter build before it posts the
+    filter's :class:`~repro.core.approx.AmqFrame`) legitimately posts
+    one at a time.
 
 The rules are heuristic by design (no type inference); suppress a
 deliberate violation with ``# noqa: R<n>`` on the offending line.
@@ -484,10 +485,9 @@ class _Checker(ast.NodeVisitor):
                     n,
                     "R7",
                     "per-record '.post(Record(...))' in a Python loop over "
-                    "unpacked arrays — pack the batch and make one "
-                    "'post_many(dest_ranks, vertices, targets, xadj, "
-                    "neighbors)' call instead (identical contents and "
-                    "words charge)",
+                    "unpacked arrays — pack the batch into a frame and "
+                    "make one 'post_many(dest_ranks, frame)' call instead "
+                    "(identical contents and words charge)",
                 )
 
     # -- R13: direct mutation of engine state from SPMD code -------------

@@ -11,6 +11,9 @@
   messages (barrier, allreduce, dense & sparse all-to-all);
 * :class:`~repro.net.aggregation.BufferedMessageQueue` — DITRIC's
   dynamic aggregation with linear memory;
+* :mod:`~repro.net.frames` — the packed frames every queued payload
+  is (:class:`~repro.net.frames.RecordFrame`,
+  :class:`~repro.net.frames.ForwardFrame`);
 * :class:`~repro.net.indirect.GridRouter` — 2D-grid indirect delivery;
 * :mod:`~repro.net.reliable` — reliable/lossy transports under the
   :mod:`repro.faults` fault model (sequence numbers, acks, retransmit,
@@ -20,15 +23,8 @@
   pickling (``REPRO_SHM_FRAMES``, see ``docs/PERFORMANCE.md``).
 """
 
-from .aggregation import BufferedMessageQueue, unpack_records
-from .frames import (
-    ForwardFrame,
-    FrameBuilder,
-    Record,
-    RecordFrame,
-    flatten_records,
-    merge_frames,
-)
+from .aggregation import BufferedMessageQueue
+from .frames import ForwardFrame, FrameBuilder, RecordFrame
 from .comm import (
     allreduce,
     alltoallv_dense,
@@ -39,7 +35,7 @@ from .comm import (
     sparse_alltoall,
 )
 from .costmodel import CLOUD, DEFAULT_SPEC, LAN, SUPERMUC, MachineSpec
-from .indirect import ForwardRecord, Grid, GridRouter
+from .indirect import Grid, GridRouter
 from .machine import (
     DeadlockError,
     Machine,
@@ -79,13 +75,9 @@ __all__ = [
     "Network",
     "NetworkStats",
     "BufferedMessageQueue",
-    "Record",
     "RecordFrame",
     "ForwardFrame",
     "FrameBuilder",
-    "merge_frames",
-    "flatten_records",
-    "unpack_records",
     "allreduce",
     "alltoallv_dense",
     "barrier",
@@ -98,7 +90,6 @@ __all__ = [
     "LAN",
     "SUPERMUC",
     "MachineSpec",
-    "ForwardRecord",
     "Grid",
     "GridRouter",
     "DeadlockError",

@@ -24,15 +24,14 @@ exactly the "no aggregation" configuration of Fig. 2.
 
 Wire format
 -----------
-Buffered :class:`~repro.net.frames.Record` posts are packed into one
-:class:`~repro.net.frames.RecordFrame` per destination at flush time,
-and the vectorized :meth:`BufferedMessageQueue.post_many` appends whole
-array chunks without ever materializing per-record objects.  Flush
+The queue buffers, sends and returns only frames
+(:mod:`repro.net.frames`).  :meth:`BufferedMessageQueue.post_many`
+appends whole sub-frames per destination without ever materializing
+per-record objects; each flushed message is one frame, the
+concatenation of everything buffered for its destination.  Flush
 boundaries are computed from the per-record cumulative word counts, so
-message counts, sizes, and the buffer high-water mark are bit-identical
-to posting the same records one at a time (see ``docs/PERFORMANCE.md``).
-Opaque payloads with a ``words`` attribute (``AmqRecord``,
-``ForwardRecord``) still travel as the objects they were posted as.
+message counts, sizes, and the buffer high-water mark are the same as
+if the records were posted one at a time (see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -42,30 +41,11 @@ from typing import Generator
 import numpy as np
 
 from .comm import barrier, drain
-from .frames import (
-    ForwardFrame,
-    FrameBuilder,
-    Record,
-    RecordFrame,
-    flatten_records,
-    merge_frames,
-)
+from .frames import FrameBuilder
 from .machine import PEContext
-from .messages import Message, Tag
+from .messages import Tag
 
-__all__ = ["Record", "RecordFrame", "BufferedMessageQueue", "unpack_records"]
-
-
-def _all_frameable(parts) -> bool:
-    """True when every payload packs losslessly into one RecordFrame."""
-    stack = list(parts)
-    while stack:
-        part = stack.pop()
-        if isinstance(part, (list, tuple)):
-            stack.extend(part)
-        elif not isinstance(part, (Record, RecordFrame)):
-            return False
-    return True
+__all__ = ["BufferedMessageQueue"]
 
 
 class BufferedMessageQueue:
@@ -89,7 +69,6 @@ class BufferedMessageQueue:
         self.tag = tag
         self.threshold_words = int(threshold_words)
         self._builders: dict[int, FrameBuilder] = {}
-        self._misc: dict[int, list] = {}
         self._buffer_words: dict[int, int] = {}
         self._total_words = 0
         self._local: list = []
@@ -101,79 +80,36 @@ class BufferedMessageQueue:
         """Current total buffered size ``B = sum_j |B_j|``."""
         return self._total_words
 
-    def post(self, dest: int, record) -> None:
-        """Append a record to buffer ``B_dest``; flush if over threshold.
+    def post(self, dest: int, frame) -> None:
+        """Post every record of ``frame`` to ``dest`` (see :meth:`post_many`)."""
+        self.post_many(np.full(frame.num_records, dest, dtype=np.int64), frame)
 
-        Records addressed to the posting PE itself bypass the network
-        (handed back by :meth:`finalize` at zero wire cost).  A
-        :class:`Record` is packed into the destination's frame at flush
-        time; any other payload with a ``words`` attribute rides along
-        unpacked.
-        """
-        if dest == self.ctx.rank:
-            self._local.append(record)
-            self.records_posted += 1
-            return
-        if isinstance(record, Record):
-            self._builders.setdefault(dest, FrameBuilder()).append_record(record)
-        else:
-            self._misc.setdefault(dest, []).append(record)
-        self._buffer_words[dest] = self._buffer_words.get(dest, 0) + record.words
-        self._total_words += record.words
-        self.records_posted += 1
-        self.ctx.metrics.note_buffer(self._total_words)
-        if self._total_words > self.threshold_words:
-            self.flush()
+    def post_many(self, dest_ranks: np.ndarray, frame) -> None:
+        """Post record ``i`` of ``frame`` to ``dest_ranks[i]``, for every ``i``.
 
-    def post_many(
-        self,
-        dest_ranks: np.ndarray,
-        vertices: np.ndarray,
-        targets: np.ndarray,
-        xadj: np.ndarray,
-        neighbors: np.ndarray,
-        *,
-        final_dests: np.ndarray | None = None,
-    ) -> None:
-        """Post a whole batch of records given in struct-of-arrays form.
-
-        Record ``i`` is ``(vertices[i], targets[i],
-        neighbors[xadj[i]:xadj[i+1]])`` bound for ``dest_ranks[i]``
-        (``targets[i] == -1`` for broadcast).  With ``final_dests`` the
-        records are grid row-hop forwards: ``dest_ranks`` holds the
-        proxy and each record is charged one extra routing word, exactly
-        like posting :class:`~repro.net.indirect.ForwardRecord` objects.
+        ``frame`` is any frame kind (:mod:`repro.net.frames`).  Records
+        addressed to the posting PE itself bypass the network (handed
+        back by :meth:`finalize` at zero wire cost).  The rest are
+        appended to the buffers ``B_dest`` in batch order, and the queue
+        flushes whenever the total buffered words exceed the threshold.
 
         Equivalent to posting the records one at a time in batch order —
         same flush boundaries, per-destination record order, buffer
         high-water marks, and wire words — without a Python loop over
         records.  Flush boundaries are found by ``searchsorted`` on the
         cumulative word counts; each threshold-crossing record closes a
-        segment whose per-destination slices are appended to the frame
-        builders in one gather.
+        segment whose per-destination sub-frames are appended to the
+        frame builders.
         """
         dest_ranks = np.asarray(dest_ranks, dtype=np.int64)
         k = int(dest_ranks.size)
         if k == 0:
             return
-        frame = RecordFrame(
-            np.asarray(vertices, dtype=np.int64),
-            np.asarray(targets, dtype=np.int64),
-            np.asarray(xadj, dtype=np.int64),
-            np.asarray(neighbors, dtype=np.int64),
-        )
-        if final_dests is not None:
-            final_dests = np.asarray(final_dests, dtype=np.int64)
         self.records_posted += k
 
         self_mask = dest_ranks == self.ctx.rank
         if np.any(self_mask):
-            idx = np.flatnonzero(self_mask)
-            sub = frame.select(idx)
-            if final_dests is not None:
-                self._local.append(ForwardFrame(final_dests[idx], sub))
-            else:
-                self._local.append(sub)
+            self._local.append(frame.select(np.flatnonzero(self_mask)))
 
         ridx = np.flatnonzero(~self_mask)
         n = int(ridx.size)
@@ -181,22 +117,18 @@ class BufferedMessageQueue:
             return
         dests = dest_ranks[ridx]
         rw = frame.record_words()[ridx]
-        if final_dests is not None:
-            rw = rw + 1  # ForwardRecord routing word
         cw = np.cumsum(rw)
-        fd = final_dests[ridx] if final_dests is not None else None
 
         start = 0
         prev = 0  # cumulative words consumed by earlier segments
         base = self._total_words
         while start < n:
             # First record whose cumulative total strictly exceeds the
-            # threshold closes the segment (the legacy per-post rule).
+            # threshold closes the segment (the one-record-at-a-time rule).
             end = int(np.searchsorted(cw, self.threshold_words - base + prev, "right"))
             crosses = end < n
             stop = end + 1 if crosses else n
-            self._append_segment(frame, ridx[start:stop], dests[start:stop],
-                                 rw[start:stop], fd[start:stop] if fd is not None else None)
+            self._append_segment(frame, ridx[start:stop], dests[start:stop], rw[start:stop])
             self._total_words = base + int(cw[stop - 1]) - prev
             # Running totals rise monotonically within a segment, so one
             # high-water sample at the segment end equals per-post sampling.
@@ -208,103 +140,61 @@ class BufferedMessageQueue:
             prev = int(cw[end])
             start = stop
 
-    def _append_segment(self, frame, idx, dests, rw, fd) -> None:
+    def _append_segment(self, frame, idx, dests, rw) -> None:
         """Append one flush segment's records to per-destination builders."""
         order = np.argsort(dests, kind="stable")
-        sub = frame.select(idx[order])
+        idx = idx[order]
         d_sorted = dests[order]
         rw_sorted = rw[order]
-        fd_sorted = fd[order] if fd is not None else None
-        sizes = np.diff(sub.xadj)
         bounds = np.flatnonzero(np.diff(d_sorted)) + 1
         starts = np.concatenate(([0], bounds))
         ends = np.concatenate((bounds, [d_sorted.size]))
         for s, e in zip(starts.tolist(), ends.tolist()):
             dest = int(d_sorted[s])
-            builder = self._builders.setdefault(dest, FrameBuilder())
-            builder.append_chunk(
-                sub.vertices[s:e],
-                sub.targets[s:e],
-                sizes[s:e],
-                sub.neighbors[int(sub.xadj[s]) : int(sub.xadj[e])],
-                final_dests=fd_sorted[s:e] if fd_sorted is not None else None,
-            )
+            self._builders.setdefault(dest, FrameBuilder()).append(frame.select(idx[s:e]))
             self._buffer_words[dest] = self._buffer_words.get(dest, 0) + int(
                 rw_sorted[s:e].sum()
             )
 
-    def post_items(self, dest_ranks, records) -> None:
-        """Post pre-built record objects, one per destination entry.
-
-        Convenience for callers whose payloads are opaque objects
-        (e.g. ``AmqRecord``) that cannot be framed; plain
-        :class:`Record` batches should use :meth:`post_many`.
-        """
-        for dest, record in zip(dest_ranks, records):
-            self.post(int(dest), record)
-
     def flush(self) -> None:
         """Send every non-empty buffer as one aggregated message.
 
-        Buffered :class:`Record` chunks leave as one
-        :class:`RecordFrame` per destination; opaque payloads ride in a
-        list after the frame.  These sends use the machine's configured
-        transport, so under a :mod:`repro.faults` plan the reliable
-        layer sequences and retransmits them — fault-tolerant programs
-        may use the queue freely (no
-        :func:`~repro.net.reliable.reliable_send` wrapper needed; lint
-        rule R5 only patrols hand-written ``ctx.send``).
+        Each destination's buffered records leave as one frame.  These
+        sends use the machine's configured transport, so under a
+        :mod:`repro.faults` plan the reliable layer sequences and
+        retransmits them — fault-tolerant programs may use the queue
+        freely (no :func:`~repro.net.reliable.reliable_send` wrapper
+        needed; lint rule R5 only patrols hand-written ``ctx.send``).
         """
-        if not self._builders and not self._misc:
+        if not self._builders:
             return
-        for dest in sorted(set(self._builders) | set(self._misc)):
-            words = self._buffer_words[dest]
-            builder = self._builders.get(dest)
-            misc = self._misc.get(dest)
-            if builder is not None:
-                payload = builder.build()
-                if misc:
-                    payload = [payload, *misc]
-            else:
-                payload = misc
-            self.ctx.send(dest, self.tag, payload, words)
+        for dest in sorted(self._builders):
+            payload = self._builders[dest].build()
+            self.ctx.send(dest, self.tag, payload, self._buffer_words[dest])
         self._builders = {}
-        self._misc = {}
         self._buffer_words = {}
         self._total_words = 0
         self.flushes += 1
 
-    def finalize(self) -> Generator[None, None, RecordFrame | list]:
-        """Flush remaining buffers, synchronize, and drain received records.
+    def finalize(self) -> Generator[None, None, list]:
+        """Flush remaining buffers, synchronize, and drain received frames.
 
         The barrier plays the role of NBX termination detection: after
         it completes, every PE has posted (and, in the simulation,
         delivered) all its sends, so the inbox drain is complete.
         Must be called by all PEs (collectively).
 
-        Returns one merged :class:`RecordFrame` when everything received
-        (and self-posted) is frameable — the fast path the counting
-        kernels consume directly — and a flat list of payload objects
-        otherwise (frames expanded in arrival order, so legacy consumers
-        see exactly the records that were posted).
+        Returns the received frames as a list: the messages in arrival
+        order, then the self-posted sub-frames in post order.  Callers
+        that need one frame call ``concat`` of the frame kind, e.g.
+        ``RecordFrame.concat(frames)``.
         """
         self.flush()
         # NBX discipline (see sparse_alltoall): our flushed frames must
         # finish delivery before the barrier concludes the exchange.
         yield from self.ctx.sync_sends()
         yield from barrier(self.ctx)
-        parts = [msg.payload for msg in drain(self.ctx, self.tag)]
-        parts.extend(self._local)
+        frames = [msg.payload for msg in drain(self.ctx, self.tag)]
+        frames.extend(self._local)
         self._local = []
-        if _all_frameable(parts):
-            return merge_frames(parts)
-        return flatten_records(parts)
-
-
-def unpack_records(messages: list[Message]) -> list:
-    """Flatten aggregated messages back into their records.
-
-    Frames are expanded into their constituent :class:`Record` objects;
-    opaque payloads are passed through unchanged.
-    """
-    return flatten_records([msg.payload for msg in messages])
+        return frames

@@ -1,23 +1,40 @@
-"""Flat packed message frames: the struct-of-arrays wire format.
+"""Flat packed message frames: the one wire format of the message plane.
 
-The counting kernels are batch-vectorized, but a message path that
-builds one :class:`Record` dataclass per cut arc pays Python's
-per-object overhead on every benchmark.  A :class:`RecordFrame`
-represents a whole batch of records as four contiguous NumPy arrays —
-the same struct-of-arrays layout the intersection kernels already use
-— so the sender builds it with array ops, the wire carries four arrays
-instead of N dataclasses (which is also what :class:`ProcessMachine`
-pickles), and the receiver feeds it straight into the batched kernels.
+Everything a :class:`~repro.net.aggregation.BufferedMessageQueue` or a
+:class:`~repro.net.indirect.GridRouter` buffers, sends or returns is a
+*frame*: a batch of records stored struct-of-arrays, the same layout
+the intersection kernels already use.  The sender builds a frame with
+array ops, the wire carries a few arrays instead of one object per
+record (which is also what :class:`ProcessMachine` pickles), and the
+receiver feeds it straight into the batched kernels.
+
+The frame protocol
+------------------
+A frame kind provides
+
+* ``num_records`` — the number of records;
+* ``record_words()`` — the charged wire size of each record, the
+  quantity the aggregation queue's δ threshold is measured in;
+* ``select(idx)`` — the sub-frame of the records listed in ``idx``, in
+  that order, in fresh arrays;
+* ``concat(parts)`` — a classmethod packing frames of that kind into
+  one, in order.
+
+Three kinds exist: :class:`RecordFrame` (a vertex and a neighborhood
+per record), :class:`ForwardFrame` (any frame plus a final destination
+per record, for the grid router's row hop) and
+:class:`~repro.core.approx.AmqFrame` (an approximate-membership filter
+in place of the neighborhood, Section IV-E).
 
 The accounting invariant
 ------------------------
-``RecordFrame.words`` charges **exactly** what the equivalent list of
-:class:`Record` objects charges: per record, the neighborhood entries
-plus :data:`~repro.net.messages.HEADER_WORDS`, plus one extra word when
-the record is targeted.  Simulated costs, volume metrics, and the
-δ-threshold flush semantics of the aggregation queue are therefore
-bit-identical between the two representations (property-tested in
-``tests/test_frames.py``; see ``docs/PERFORMANCE.md``).
+``RecordFrame.record_words()`` charges, per record, the neighborhood
+entries plus :data:`~repro.net.messages.HEADER_WORDS` (vertex id +
+length field), plus one word when the record is targeted.  A forwarded
+record costs one routing word more.  The queue charges a message the
+sum over its records, so simulated costs, volume metrics and flush
+boundaries do not depend on how records are batched into ``post_many``
+calls (see ``docs/PERFORMANCE.md``).
 
 A broadcast record (the surrogate shape ``(v, A(v))``) stores a
 ``target`` of −1; a targeted record (the Algorithm 2 shape
@@ -27,55 +44,47 @@ A broadcast record (the surrogate shape ``(v, A(v))``) stores a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Any, Sequence
 
 import numpy as np
 
 from .messages import HEADER_WORDS
 
 __all__ = [
-    "Record",
+    "BROADCAST",
     "RecordFrame",
     "ForwardFrame",
     "FrameBuilder",
-    "merge_frames",
-    "flatten_records",
+    "csr_select",
+    "csr_concat",
 ]
 
 #: Sentinel in ``RecordFrame.targets`` marking a broadcast record.
 BROADCAST = -1
 
 
-@dataclass(frozen=True)
-class Record:
-    """One application record: a vertex and (some of) its neighborhood.
-
-    ``words`` counts the neighborhood entries plus the
-    :data:`~repro.net.messages.HEADER_WORDS` envelope (vertex id +
-    length field), matching how the paper measures communication
-    volume in machine words.
-
-    ``target`` distinguishes the two message shapes of the paper:
-    Algorithm 2 sends ``((v, u), N_v^+)`` — the receiver intersects for
-    that single edge ``(v, u)`` — whereas the surrogate-optimized
-    algorithms send ``(v, A(v))`` once per destination PE and the
-    receiver loops over *all* its local ``u ∈ A(v)``.  ``target=None``
-    selects the latter; a vertex id costs one extra word on the wire.
-    """
-
-    vertex: int
-    neighbors: np.ndarray
-    target: int | None = None
-
-    @property
-    def words(self) -> int:
-        """Charged size of this record in machine words."""
-        extra = 0 if self.target is None else 1
-        return int(self.neighbors.size) + HEADER_WORDS + extra
-
-
 def _as_i64(a) -> np.ndarray:
     return np.asarray(a, dtype=np.int64)
+
+
+def csr_select(xadj: np.ndarray, values: np.ndarray, idx: np.ndarray):
+    """Blocks ``idx`` of a CSR, in that order, as a fresh ``(xadj, values)``."""
+    sizes = xadj[idx + 1] - xadj[idx]
+    out_xadj = np.zeros(idx.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=out_xadj[1:])
+    total = int(out_xadj[-1])
+    if not total:
+        return out_xadj, values[:0].copy()
+    starts = np.repeat(xadj[idx], sizes)
+    within = np.arange(total, dtype=np.int64) - np.repeat(out_xadj[:-1], sizes)
+    return out_xadj, values[starts + within]
+
+
+def csr_concat(xadjs: Sequence[np.ndarray], values: Sequence[np.ndarray]):
+    """Concatenate CSRs block-wise into one fresh ``(xadj, values)``."""
+    xadj = np.zeros(sum(x.size - 1 for x in xadjs) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([np.diff(x) for x in xadjs]), out=xadj[1:])
+    return xadj, np.concatenate(values)
 
 
 @dataclass(frozen=True)
@@ -84,14 +93,9 @@ class RecordFrame:
 
     Record ``i`` is ``(vertices[i], targets[i],
     neighbors[xadj[i]:xadj[i+1]])`` with ``targets[i] == -1`` meaning
-    broadcast.  Frames are frozen: builders and mergers always allocate
+    broadcast.  Frames are frozen and ``select`` always allocates
     fresh arrays, so a frame can be shared between PEs of the simulated
     machine without aliasing hazards.
-
-    The sequence protocol (``len``, iteration, indexing) yields
-    :class:`Record` views so object-at-a-time consumers (the AMQ
-    receiver loop, tests, diagnostics) keep working unchanged — but hot
-    paths must use the arrays directly (see ``docs/PERFORMANCE.md``).
     """
 
     vertices: np.ndarray
@@ -106,27 +110,21 @@ class RecordFrame:
         return cls(z, z.copy(), np.zeros(1, dtype=np.int64), z.copy())
 
     @classmethod
-    def from_records(cls, records: Iterable[Record]) -> "RecordFrame":
-        """Pack a list of :class:`Record` objects (legacy adapter)."""
-        records = list(records)
-        n = len(records)
-        if n == 0:
+    def concat(cls, parts: Sequence["RecordFrame"]) -> "RecordFrame":
+        """All records of ``parts``, in order, as one frame."""
+        if not parts:
             return cls.empty()
-        vertices = np.fromiter((r.vertex for r in records), dtype=np.int64, count=n)
-        targets = np.fromiter(
-            (r.target if r.target is not None else BROADCAST for r in records),
-            dtype=np.int64,
-            count=n,
+        if len(parts) == 1:
+            return parts[0]
+        xadj, neighbors = csr_concat(
+            [p.xadj for p in parts], [p.neighbors for p in parts]
         )
-        sizes = np.fromiter((r.neighbors.size for r in records), dtype=np.int64, count=n)
-        xadj = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(sizes, out=xadj[1:])
-        neighbors = (
-            np.concatenate([_as_i64(r.neighbors) for r in records])
-            if int(xadj[-1])
-            else np.empty(0, dtype=np.int64)
+        return cls(
+            np.concatenate([p.vertices for p in parts]),
+            np.concatenate([p.targets for p in parts]),
+            xadj,
+            neighbors,
         )
-        return cls(vertices, targets, xadj, neighbors)
 
     @property
     def num_records(self) -> int:
@@ -135,7 +133,7 @@ class RecordFrame:
 
     @property
     def words(self) -> int:
-        """Charged wire size — identical to the equivalent Record list."""
+        """Charged wire size: the sum of :meth:`record_words`."""
         return (
             int(self.neighbors.size)
             + HEADER_WORDS * self.num_records
@@ -150,43 +148,11 @@ class RecordFrame:
             + (self.targets >= 0).astype(np.int64)
         )
 
-    def record(self, i: int) -> Record:
-        """Record ``i`` as a :class:`Record` view (no copy of neighbors)."""
-        t = int(self.targets[i])
-        return Record(
-            int(self.vertices[i]),
-            self.neighbors[int(self.xadj[i]) : int(self.xadj[i + 1])],
-            target=None if t == BROADCAST else t,
-        )
-
-    def to_records(self) -> list[Record]:
-        """Expand into per-record objects (legacy adapter; cold paths only)."""
-        return [self.record(i) for i in range(self.num_records)]
-
     def select(self, idx: np.ndarray) -> "RecordFrame":
         """Sub-frame of the records listed in ``idx`` (in that order)."""
         idx = _as_i64(idx)
-        sizes = self.xadj[idx + 1] - self.xadj[idx]
-        xadj = np.zeros(idx.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=xadj[1:])
-        total = int(xadj[-1])
-        if total:
-            starts = np.repeat(self.xadj[idx], sizes)
-            within = np.arange(total, dtype=np.int64) - np.repeat(xadj[:-1], sizes)
-            neighbors = self.neighbors[starts + within]
-        else:
-            neighbors = np.empty(0, dtype=np.int64)
+        xadj, neighbors = csr_select(self.xadj, self.neighbors, idx)
         return RecordFrame(self.vertices[idx], self.targets[idx], xadj, neighbors)
-
-    def __len__(self) -> int:
-        return self.num_records
-
-    def __iter__(self) -> Iterator[Record]:
-        for i in range(self.num_records):
-            yield self.record(i)
-
-    def __getitem__(self, i: int) -> Record:
-        return self.record(int(i))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -197,150 +163,58 @@ class RecordFrame:
 
 @dataclass(frozen=True)
 class ForwardFrame:
-    """A frame wrapped with per-record final destinations (grid row hop).
+    """A frame of any kind plus a final destination per record.
 
-    The vectorized counterpart of wrapping each record in a
-    :class:`~repro.net.indirect.ForwardRecord`: one routing word per
-    record on the wire, and the proxy regroups by ``final_dests``
-    without unpacking a single record object.
+    The grid router's row hop: the proxy regroups the records by
+    ``final_dests`` without unpacking them.  The destination field
+    costs one routing word per record.
     """
 
     final_dests: np.ndarray
-    frame: RecordFrame
+    #: The forwarded records (any frame kind).
+    frame: Any
 
-    @property
-    def words(self) -> int:
-        """Wire size: the inner frame plus one routing word per record."""
-        return self.frame.words + int(self.final_dests.size)
-
-
-def merge_frames(parts: Iterable) -> RecordFrame:
-    """Concatenate frames and records (in order) into one frame.
-
-    Accepts any mix of :class:`RecordFrame`, :class:`Record`, and
-    (nested) lists of either — the payload shapes the aggregation queue
-    produces — and returns a single frame covering every record in
-    encounter order.
-    """
-    builder = FrameBuilder()
-    for part in _iter_parts(parts):
-        if isinstance(part, RecordFrame):
-            builder.append_frame(part)
-        else:
-            builder.append_record(part)
-    return builder.build()
-
-
-def flatten_records(parts: Iterable) -> list:
-    """Flatten payloads into a flat list, expanding frames to records.
-
-    The legacy-shaped counterpart of :func:`merge_frames`, used when a
-    batch mixes frameable records with opaque payloads (e.g.
-    ``AmqRecord``) that must come back as the objects they were posted
-    as.
-    """
-    out: list = []
-    for part in _iter_parts(parts):
-        if isinstance(part, RecordFrame):
-            out.extend(part.to_records())
-        else:
-            out.append(part)
-    return out
-
-
-def _iter_parts(parts: Iterable):
-    for part in parts:
-        if isinstance(part, (list, tuple)):
-            yield from _iter_parts(part)
-        else:
-            yield part
-
-
-class FrameBuilder:
-    """Accumulates record chunks and packs them into one frame.
-
-    Chunks are appended as arrays (from ``post_many``) or as individual
-    :class:`Record` objects (legacy ``post``); :meth:`build`
-    concatenates everything in append order.  With ``final_dests``
-    chunks the builder produces a :class:`ForwardFrame` instead (grid
-    row hop); the two chunk kinds must not be mixed in one builder.
-    """
-
-    def __init__(self) -> None:
-        self._vertices: list[np.ndarray] = []
-        self._targets: list[np.ndarray] = []
-        self._sizes: list[np.ndarray] = []
-        self._neighbors: list[np.ndarray] = []
-        self._final_dests: list[np.ndarray] | None = None
-        self._num_records = 0
-
-    def __bool__(self) -> bool:
-        return self._num_records > 0
+    @classmethod
+    def concat(cls, parts: Sequence["ForwardFrame"]) -> "ForwardFrame":
+        """All records of ``parts`` (which share an inner kind), in order."""
+        if len(parts) == 1:
+            return parts[0]
+        inner = type(parts[0].frame)
+        return cls(
+            np.concatenate([p.final_dests for p in parts]),
+            inner.concat([p.frame for p in parts]),
+        )
 
     @property
     def num_records(self) -> int:
-        """Records appended so far."""
-        return self._num_records
+        """Number of records in the frame."""
+        return int(self.final_dests.size)
 
-    def append_chunk(
-        self,
-        vertices: np.ndarray,
-        targets: np.ndarray,
-        sizes: np.ndarray,
-        neighbors: np.ndarray,
-        final_dests: np.ndarray | None = None,
-    ) -> None:
-        """Append a batch of records given as raw arrays."""
-        self._vertices.append(vertices)
-        self._targets.append(targets)
-        self._sizes.append(sizes)
-        self._neighbors.append(neighbors)
-        if final_dests is not None:
-            if self._final_dests is None:
-                if self._num_records:
-                    raise ValueError("cannot mix forward and plain chunks")
-                self._final_dests = []
-            self._final_dests.append(final_dests)
-        elif self._final_dests is not None:
-            raise ValueError("cannot mix forward and plain chunks")
-        self._num_records += int(vertices.size)
+    def record_words(self) -> np.ndarray:
+        """Per-record words: the inner record plus the routing word."""
+        return self.frame.record_words() + np.int64(1)
 
-    def append_frame(self, frame: RecordFrame) -> None:
-        """Append all records of an existing frame."""
-        self.append_chunk(
-            frame.vertices, frame.targets, np.diff(frame.xadj), frame.neighbors
-        )
+    def select(self, idx: np.ndarray) -> "ForwardFrame":
+        """Sub-frame of the records listed in ``idx`` (in that order)."""
+        idx = _as_i64(idx)
+        return ForwardFrame(self.final_dests[idx], self.frame.select(idx))
 
-    def append_record(self, record: Record) -> None:
-        """Append one legacy :class:`Record` (packed on build)."""
-        self.append_chunk(
-            np.array([record.vertex], dtype=np.int64),
-            np.array(
-                [record.target if record.target is not None else BROADCAST],
-                dtype=np.int64,
-            ),
-            np.array([record.neighbors.size], dtype=np.int64),
-            _as_i64(record.neighbors),
-        )
 
-    def build(self) -> RecordFrame | ForwardFrame:
-        """Pack everything appended so far into one frame (and reset)."""
-        if self._num_records == 0:
-            frame = RecordFrame.empty()
-        else:
-            sizes = np.concatenate(self._sizes)
-            xadj = np.zeros(sizes.size + 1, dtype=np.int64)
-            np.cumsum(sizes, out=xadj[1:])
-            frame = RecordFrame(
-                np.concatenate(self._vertices),
-                np.concatenate(self._targets),
-                xadj,
-                np.concatenate(self._neighbors)
-                if int(xadj[-1])
-                else np.empty(0, dtype=np.int64),
-            )
-        final_dests = self._final_dests
-        self.__init__()
-        if final_dests is not None:
-            return ForwardFrame(np.concatenate(final_dests), frame)
-        return frame
+class FrameBuilder:
+    """Buffers frames of one kind and packs them into one on :meth:`build`."""
+
+    def __init__(self) -> None:
+        self._parts: list = []
+
+    def append(self, frame) -> None:
+        """Buffer ``frame`` behind everything appended so far."""
+        self._parts.append(frame)
+
+    def build(self):
+        """Everything appended so far as one frame (and reset).
+
+        At least one frame must have been appended: the builder takes
+        the frame kind from the first one.
+        """
+        parts, self._parts = self._parts, []
+        return type(parts[0]).concat(parts)

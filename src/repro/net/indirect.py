@@ -21,7 +21,9 @@ last row is partial).
 proxy re-aggregates everything bound for the same final destination
 (the "all messages from a processor row designated to P_{k,l} get
 aggregated at the proxy" effect), and the threshold keeps memory
-linear.
+linear.  Row-hop records travel as a
+:class:`~repro.net.frames.ForwardFrame` around the posted frame, which
+may be of any kind: one routing word per record.
 
 Indirect hops ride ordinary machine messages, so under the contended
 network model (:class:`repro.sim.network.Network`) *each hop* claims
@@ -39,12 +41,12 @@ from typing import Generator
 
 import numpy as np
 
-from .aggregation import BufferedMessageQueue, Record
-from .frames import ForwardFrame, RecordFrame
+from .aggregation import BufferedMessageQueue
+from .frames import ForwardFrame
 from .machine import PEContext
 from .messages import Tag
 
-__all__ = ["Grid", "GridRouter", "ForwardRecord"]
+__all__ = ["Grid", "GridRouter"]
 
 
 @dataclass(frozen=True)
@@ -101,29 +103,13 @@ class Grid:
         return candidate
 
 
-@dataclass(frozen=True)
-class ForwardRecord:
-    """A record wrapped with its final destination for the row hop.
-
-    The extra destination field costs one machine word on the wire.
-    """
-
-    final_dest: int
-    record: Record
-
-    @property
-    def words(self) -> int:
-        """Wire size: the inner record plus the routing word."""
-        return self.record.words + 1
-
-
 class GridRouter:
     """Two-hop aggregated routing over the logical grid.
 
     Drop-in alternative to a plain :class:`BufferedMessageQueue` for
-    one-shot exchanges: ``post`` during the send phase, then a single
-    collective :meth:`finalize` flushes, lets proxies forward, and
-    returns the records addressed to this PE.
+    one-shot exchanges: ``post_many`` during the send phase, then a
+    single collective :meth:`finalize` flushes, lets proxies forward,
+    and returns the frames addressed to this PE.
     """
 
     def __init__(self, ctx: PEContext, tag: Tag, threshold_words: int):
@@ -139,106 +125,56 @@ class GridRouter:
             count=ctx.num_pes,
         )
         ctx.charge(ctx.num_pes)  # the O(p) proxy table above
+        #: Application records posted at this PE (not counting forwards).
+        self.records_posted = 0
 
-    @property
-    def records_posted(self) -> int:
-        """Application records posted at this PE (not counting forwards)."""
-        return self._row_queue.records_posted
+    def post(self, dest: int, frame) -> None:
+        """Route every record of ``frame`` towards ``dest``."""
+        self.post_many(np.full(frame.num_records, dest, dtype=np.int64), frame)
 
-    def post(self, dest: int, record: Record) -> None:
-        """Route a record towards ``dest`` via its row proxy."""
-        hop = self.grid.proxy(self.ctx.rank, dest)
-        if hop == dest:
-            # Direct: no intermediate hop (same row/col or degenerate);
-            # send on the column queue so it is not mistaken for a
-            # forwardable row message.
-            self._col_queue.post(dest, record)
-        else:
-            self._row_queue.post(hop, ForwardRecord(final_dest=dest, record=record))
-
-    def post_many(
-        self,
-        dest_ranks: np.ndarray,
-        vertices: np.ndarray,
-        targets: np.ndarray,
-        xadj: np.ndarray,
-        neighbors: np.ndarray,
-    ) -> None:
-        """Route a whole record batch (struct-of-arrays form) at once.
+    def post_many(self, dest_ranks: np.ndarray, frame) -> None:
+        """Route record ``i`` of ``frame`` towards ``dest_ranks[i]``.
 
         Splits the batch by first hop: records whose proxy is their
         destination go straight on the column queue; the rest travel
-        the row queue as a :class:`~repro.net.frames.ForwardFrame`
-        (one routing word per record, like :class:`ForwardRecord`).
+        the row queue as a :class:`~repro.net.frames.ForwardFrame` (one
+        routing word per record).
         """
         dest_ranks = np.asarray(dest_ranks, dtype=np.int64)
         if dest_ranks.size == 0:
             return
-        frame = RecordFrame(
-            np.asarray(vertices, dtype=np.int64),
-            np.asarray(targets, dtype=np.int64),
-            np.asarray(xadj, dtype=np.int64),
-            np.asarray(neighbors, dtype=np.int64),
-        )
+        self.records_posted += int(dest_ranks.size)
         hops = self._proxy_of[dest_ranks]
         direct = hops == dest_ranks
         idx = np.flatnonzero(direct)
         if idx.size:
-            sub = frame.select(idx)
-            self._col_queue.post_many(
-                dest_ranks[idx], sub.vertices, sub.targets, sub.xadj, sub.neighbors
-            )
+            self._col_queue.post_many(dest_ranks[idx], frame.select(idx))
         idx = np.flatnonzero(~direct)
         if idx.size:
-            sub = frame.select(idx)
             self._row_queue.post_many(
-                hops[idx],
-                sub.vertices,
-                sub.targets,
-                sub.xadj,
-                sub.neighbors,
-                final_dests=dest_ranks[idx],
+                hops[idx], ForwardFrame(dest_ranks[idx], frame.select(idx))
             )
-
-    def post_items(self, dest_ranks, records) -> None:
-        """Route pre-built record objects, one per destination entry."""
-        for dest, record in zip(dest_ranks, records):
-            self.post(int(dest), record)
 
     def _repost(self, fwd: ForwardFrame) -> None:
-        """Proxy step: re-post a forwarded frame toward final destinations."""
-        final = fwd.final_dests
-        mine = np.flatnonzero(final == self.ctx.rank)
-        if mine.size:
-            # Already at the destination: hand back locally at zero
-            # wire cost (the frame analogue of appending fwd.record).
-            self._col_queue._local.append(fwd.frame.select(mine))
-        rest = np.flatnonzero(final != self.ctx.rank)
-        if rest.size:
-            sub = fwd.frame.select(rest)
-            self._col_queue.post_many(
-                final[rest], sub.vertices, sub.targets, sub.xadj, sub.neighbors
-            )
+        """Proxy step: re-post a forwarded frame toward its final destinations.
 
-    def finalize(self) -> Generator[None, None, RecordFrame | list]:
-        """Flush, forward at proxies, and return records for this PE.
+        Records already at their destination are handed back locally by
+        the column queue at zero wire cost.
+        """
+        self._col_queue.post_many(fwd.final_dests, fwd.frame)
+
+    def finalize(self) -> Generator[None, None, list]:
+        """Flush, forward at proxies, and return the frames for this PE.
 
         Collective.  Two aggregation rounds: row flush + barrier, then
-        each PE re-posts the row records it proxied to their final
+        each PE re-posts the row frames it proxied to their final
         destinations, column flush + barrier, and a final drain.
+        Returns the column queue's frames (see
+        :meth:`BufferedMessageQueue.finalize`).
         """
         with self.ctx.span("grid-row-hop"):
-            row_records = yield from self._row_queue.finalize()
-            for fwd in row_records:
-                if isinstance(fwd, ForwardFrame):
-                    self._repost(fwd)
-                elif isinstance(fwd, ForwardRecord):
-                    if fwd.final_dest == self.ctx.rank:
-                        self._col_queue._local.append(fwd.record)
-                    else:
-                        self._col_queue.post(fwd.final_dest, fwd.record)
-                else:
-                    raise TypeError("row hop must carry ForwardRecord")
+            for fwd in (yield from self._row_queue.finalize()):
+                self._repost(fwd)
         with self.ctx.span("grid-col-hop"):
-            records = yield from self._col_queue.finalize()
-        return records
+            frames = yield from self._col_queue.finalize()
+        return frames

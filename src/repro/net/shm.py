@@ -20,9 +20,9 @@ tiny ``(slot, offsets)`` descriptor.  Concretely:
   out-of-band buffers**: the payload's array bodies never enter the
   pickle stream — they are copied once into a pool slot — and the
   remaining metadata pickle is a few hundred bytes.  Any payload shape
-  works (frames, :class:`~repro.net.frames.ForwardFrame`, mixed lists
-  with opaque records); payloads without array buffers simply are not
-  worth a slot and travel the legacy path.
+  works (every frame kind, including object columns such as the AMQ
+  filters, and control payloads); payloads without array buffers
+  simply are not worth a slot and travel the legacy path.
 * :meth:`SharedFramePool.decode` reconstructs the payload with
   ``pickle.loads(meta, buffers=...)`` over **read-only views straight
   into the slot** — the receive side copies nothing.  The delivery's

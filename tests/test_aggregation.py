@@ -3,17 +3,25 @@
 import numpy as np
 import pytest
 
-from repro.net import BufferedMessageQueue, HEADER_WORDS, Machine, Record
+from repro.net import BufferedMessageQueue, HEADER_WORDS, Machine, RecordFrame
+from repro.net.frames import BROADCAST
 
 
-def _rec(v, size=3, target=None):
-    return Record(v, np.arange(size, dtype=np.int64), target=target)
+def _rec(v, size=3, target=BROADCAST):
+    """A one-record frame ``(v, target, [0, size))``."""
+    return RecordFrame(
+        np.array([v], dtype=np.int64),
+        np.array([target], dtype=np.int64),
+        np.array([0, size], dtype=np.int64),
+        np.arange(size, dtype=np.int64),
+    )
 
 
 def test_record_words():
     assert _rec(0, 5).words == 5 + HEADER_WORDS
     assert _rec(0, 5, target=7).words == 5 + HEADER_WORDS + 1
     assert _rec(0, 0).words == HEADER_WORDS
+    assert _rec(0, 5, target=7).record_words().tolist() == [5 + HEADER_WORDS + 1]
 
 
 def test_no_aggregation_sends_one_message_per_record():
@@ -22,8 +30,8 @@ def test_no_aggregation_sends_one_message_per_record():
         if ctx.rank == 0:
             for i in range(5):
                 q.post(1, _rec(i))
-        recs = yield from q.finalize()
-        return len(recs)
+        recs = RecordFrame.concat((yield from q.finalize()))
+        return recs.num_records
 
     res = Machine(2).run(prog)
     assert res.values[1] == 5
@@ -36,8 +44,8 @@ def test_aggregation_batches_into_single_message():
         if ctx.rank == 0:
             for i in range(50):
                 q.post(1, _rec(i))
-        recs = yield from q.finalize()
-        return len(recs)
+        recs = RecordFrame.concat((yield from q.finalize()))
+        return recs.num_records
 
     res = Machine(2).run(prog)
     assert res.values[1] == 50
@@ -85,8 +93,8 @@ def test_self_posts_bypass_network():
     def prog(ctx):
         q = BufferedMessageQueue(ctx, "t", threshold_words=100)
         q.post(ctx.rank, _rec(42))
-        recs = yield from q.finalize()
-        return [r.vertex for r in recs]
+        recs = RecordFrame.concat((yield from q.finalize()))
+        return recs.vertices.tolist()
 
     res = Machine(3).run(prog)
     assert res.values == [[42]] * 3
@@ -99,11 +107,19 @@ def test_records_keep_payload_integrity():
     def prog(ctx):
         q = BufferedMessageQueue(ctx, "t", threshold_words=0)
         if ctx.rank == 0:
-            q.post(1, Record(7, np.array([1, 4, 9], dtype=np.int64)))
-        recs = yield from q.finalize()
+            q.post(
+                1,
+                RecordFrame(
+                    np.array([7], dtype=np.int64),
+                    np.array([BROADCAST], dtype=np.int64),
+                    np.array([0, 3], dtype=np.int64),
+                    np.array([1, 4, 9], dtype=np.int64),
+                ),
+            )
+        recs = RecordFrame.concat((yield from q.finalize()))
         if ctx.rank == 1:
-            (r,) = recs
-            return (r.vertex, r.neighbors.tolist())
+            assert recs.num_records == 1
+            return (int(recs.vertices[0]), recs.neighbors.tolist())
         return None
 
     res = Machine(2).run(prog)

@@ -1,12 +1,12 @@
-"""Property-style equivalence suite for the packed frame wire format.
+"""Property-style suite for the packed frame wire format.
 
-The contract under test (``docs/PERFORMANCE.md``): the frame path
-(``post_many`` + :class:`RecordFrame` receive) is observationally
-identical to the legacy path (one ``post(Record(...))`` per record) —
-same received contents, same charged words, same flush boundaries, same
-kernel totals — on the simulated :class:`Machine` and on the real
-process backend :class:`ProcessMachine`.  The per-record outcomes are
-pinned in the ``queue_reference`` section of
+The contract under test (``docs/PERFORMANCE.md``): a frame charges the
+sum of its per-record words, ``select``/``concat`` preserve record
+order, and the aggregation queue's frame path reproduces the outcomes of
+posting one record at a time — same received contents, same charged
+words, same flush boundaries — on the simulated :class:`Machine` and on
+the real process backend :class:`ProcessMachine`.  The one-record-at-a-
+time outcomes are pinned in the ``queue_reference`` section of
 ``tests/golden/fingerprints.json``.
 """
 
@@ -20,13 +20,12 @@ import pytest
 from repro.net import (
     HEADER_WORDS,
     BufferedMessageQueue,
+    ForwardFrame,
+    FrameBuilder,
     Machine,
-    Record,
     RecordFrame,
-    flatten_records,
-    merge_frames,
 )
-from repro.net.frames import BROADCAST, FrameBuilder
+from repro.net.frames import BROADCAST
 from repro.net.parallel import ProcessMachine
 
 QUEUE_REFERENCE = json.loads(
@@ -46,33 +45,19 @@ def _random_batch(rng, num_pes, n):
     xadj = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(sizes, out=xadj[1:])
     neighbors = rng.integers(0, 1000, size=int(xadj[-1])).astype(np.int64)
-    return dests, vertices, targets, xadj, neighbors
+    return dests, RecordFrame(vertices, targets, xadj, neighbors)
 
 
-def _records_of(dests, vertices, targets, xadj, neighbors):
-    out = []
-    for i in range(dests.size):
-        t = int(targets[i])
-        out.append(
-            (
-                int(dests[i]),
-                Record(
-                    int(vertices[i]),
-                    neighbors[xadj[i] : xadj[i + 1]],
-                    target=None if t == BROADCAST else t,
-                ),
-            )
+def _canon(frame):
+    """Order-preserving canonical form of a frame's records."""
+    return [
+        (
+            int(frame.vertices[i]),
+            int(frame.targets[i]),
+            tuple(frame.neighbors[frame.xadj[i] : frame.xadj[i + 1]].tolist()),
         )
-    return out
-
-
-def _canon(received):
-    """Order-preserving canonical form of a received record sequence."""
-    out = []
-    for r in received:
-        t = BROADCAST if r.target is None else int(r.target)
-        out.append((int(r.vertex), t, tuple(r.neighbors.tolist())))
-    return out
+        for i in range(frame.num_records)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -83,51 +68,58 @@ def _canon(received):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_frame_words_equal_record_word_sum(seed):
     rng = np.random.default_rng(seed)
-    _, vertices, targets, xadj, neighbors = _random_batch(rng, 4, 40)
-    frame = RecordFrame(vertices, targets, xadj, neighbors)
-    records = frame.to_records()
-    assert frame.words == sum(r.words for r in records)
-    assert frame.record_words().tolist() == [r.words for r in records]
+    _, frame = _random_batch(rng, 4, 40)
+    per_record = [
+        len(nbh) + HEADER_WORDS + (1 if t != BROADCAST else 0)
+        for _, t, nbh in _canon(frame)
+    ]
+    assert frame.record_words().tolist() == per_record
+    assert frame.words == sum(per_record)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_from_records_roundtrip_and_select(seed):
+def test_concat_roundtrip_and_select(seed):
     rng = np.random.default_rng(seed)
-    _, vertices, targets, xadj, neighbors = _random_batch(rng, 4, 25)
-    frame = RecordFrame(vertices, targets, xadj, neighbors)
-    again = RecordFrame.from_records(frame.to_records())
-    assert _canon(again) == _canon(frame)
-    idx = rng.permutation(len(frame))[:10]
-    sub = frame.select(np.sort(idx))
-    expected = [_canon(frame)[i] for i in np.sort(idx)]
-    assert _canon(sub) == expected
-    assert sub.words == sum(frame.record_words()[np.sort(idx)])
+    _, frame = _random_batch(rng, 4, 25)
+    singles = [frame.select([i]) for i in range(frame.num_records)]
+    assert _canon(RecordFrame.concat(singles)) == _canon(frame)
+    idx = np.sort(rng.permutation(frame.num_records)[:10])
+    sub = frame.select(idx)
+    assert _canon(sub) == [_canon(frame)[i] for i in idx]
+    assert sub.words == sum(frame.record_words()[idx])
 
 
-def test_merge_and_flatten_agree():
+def test_concat_preserves_order_and_words():
     rng = np.random.default_rng(7)
-    frames = []
-    for _ in range(3):
-        _, v, t, x, a = _random_batch(rng, 4, 10)
-        frames.append(RecordFrame(v, t, x, a))
-    merged = merge_frames(frames)
-    flat = flatten_records(frames)
-    assert _canon(merged) == _canon(flat)
+    frames = [_random_batch(rng, 4, 10)[1] for _ in range(3)]
+    merged = RecordFrame.concat(frames)
+    assert _canon(merged) == [r for f in frames for r in _canon(f)]
     assert merged.words == sum(f.words for f in frames)
+    assert RecordFrame.concat([]).num_records == 0
 
 
-def test_builder_matches_from_records():
+def test_builder_matches_concat():
     rng = np.random.default_rng(11)
-    _, vertices, targets, xadj, neighbors = _random_batch(rng, 4, 20)
-    frame = RecordFrame(vertices, targets, xadj, neighbors)
+    _, frame = _random_batch(rng, 4, 20)
     b = FrameBuilder()
-    for rec in frame:
-        b.append_record(rec)
+    for lo, hi in ((0, 3), (3, 4), (4, 20)):
+        b.append(frame.select(np.arange(lo, hi)))
     assert _canon(b.build()) == _canon(frame)
 
 
+def test_forward_frame_charges_routing_word_and_keeps_order():
+    rng = np.random.default_rng(13)
+    _, frame = _random_batch(rng, 4, 12)
+    fwd = ForwardFrame(np.arange(12, dtype=np.int64) % 3, frame)
+    assert fwd.record_words().tolist() == (frame.record_words() + 1).tolist()
+    parts = [fwd.select(np.arange(0, 5)), fwd.select(np.arange(5, 12))]
+    again = ForwardFrame.concat(parts)
+    assert again.final_dests.tolist() == fwd.final_dests.tolist()
+    assert _canon(again.frame) == _canon(frame)
+
+
 # ---------------------------------------------------------------------------
-# Machine equivalence: post_many vs one post() per Record.
+# Machine: the frame path reproduces one-record-at-a-time posting.
 # ---------------------------------------------------------------------------
 
 #: Thresholds covering no aggregation, frequent mid-run flushes, and a
@@ -136,19 +128,22 @@ THRESHOLDS = [0, 25, 10_000]
 
 
 def exchange_program(ctx, seed, threshold, mode, n=60):
-    """Post a pseudo-random batch, legacy- or frame-style, and drain."""
+    """Post a pseudo-random batch and drain.
+
+    ``mode`` "frames" posts the batch with one ``post_many``; "legacy"
+    keeps the one-record-at-a-time calling pattern, one ``post`` per
+    record.
+    """
     rng = np.random.default_rng(seed * 1000 + ctx.rank)
-    dests, vertices, targets, xadj, neighbors = _random_batch(
-        rng, ctx.num_pes, n
-    )
+    dests, frame = _random_batch(rng, ctx.num_pes, n)
     q = BufferedMessageQueue(ctx, "t", threshold_words=threshold)
     if mode == "frames":
-        q.post_many(dests, vertices, targets, xadj, neighbors)
+        q.post_many(dests, frame)
     else:
-        for dest, rec in _records_of(dests, vertices, targets, xadj, neighbors):
-            q.post(dest, rec)
+        for i, dest in enumerate(dests.tolist()):
+            q.post(dest, frame.select([i]))
     flushes = q.flushes
-    received = yield from q.finalize()
+    received = RecordFrame.concat((yield from q.finalize()))
     return (flushes, _canon(received), q.records_posted)
 
 
@@ -185,64 +180,51 @@ def queue_fingerprint(result):
 @pytest.mark.parametrize("threshold", THRESHOLDS)
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_machine_frame_path_is_bit_identical_to_legacy(seed, threshold):
-    legacy = Machine(4).run(exchange_program, seed, threshold, "legacy")
     frames = Machine(4).run(exchange_program, seed, threshold, "frames")
-    assert queue_fingerprint(frames) == QUEUE_REFERENCE[queue_key(4, 60, seed, threshold)]
     # Same received contents in the same order, same flush boundaries,
-    # same per-record bookkeeping.
-    assert frames.values == legacy.values
-    # Same charged communication: words, message count, simulated time.
-    for fm, lm in zip(frames.metrics.per_pe, legacy.metrics.per_pe):
-        assert fm.words_sent == lm.words_sent
-        assert fm.messages_sent == lm.messages_sent
-        assert fm.peak_buffer_words == lm.peak_buffer_words
-    assert frames.time == legacy.time
+    # same per-record bookkeeping, same words, messages, buffer peaks
+    # and simulated time as one post per record.
+    assert queue_fingerprint(frames) == QUEUE_REFERENCE[queue_key(4, 60, seed, threshold)]
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_machine_equivalence_with_empty_and_self_only_batches(seed):
     def prog(ctx, mode):
         q = BufferedMessageQueue(ctx, "t", threshold_words=50)
-        z = np.empty(0, dtype=np.int64)
+        mine = RecordFrame(
+            np.array([9], dtype=np.int64),
+            np.array([BROADCAST], dtype=np.int64),
+            np.array([0, 2], dtype=np.int64),
+            np.array([4, 5], dtype=np.int64),
+        )
         if mode == "frames":
             # Empty batch, then a self-post-only batch.
-            q.post_many(z, z, z, np.zeros(1, dtype=np.int64), z)
-            q.post_many(
-                np.array([ctx.rank], dtype=np.int64),
-                np.array([9], dtype=np.int64),
-                np.array([BROADCAST], dtype=np.int64),
-                np.array([0, 2], dtype=np.int64),
-                np.array([4, 5], dtype=np.int64),
-            )
+            q.post_many(np.empty(0, dtype=np.int64), RecordFrame.empty())
+            q.post_many(np.array([ctx.rank], dtype=np.int64), mine)
         else:
-            q.post(ctx.rank, Record(9, np.array([4, 5], dtype=np.int64)))
-        received = yield from q.finalize()
+            q.post(ctx.rank, mine)
+        received = RecordFrame.concat((yield from q.finalize()))
         return _canon(received)
 
-    legacy = Machine(3).run(prog, "legacy")
-    frames = Machine(3).run(prog, "frames")
-    assert frames.values == legacy.values == [[(9, BROADCAST, (4, 5))]] * 3
+    for mode in ("frames", "legacy"):
+        res = Machine(3).run(prog, mode)
+        assert res.values == [[(9, BROADCAST, (4, 5))]] * 3
 
 
 # ---------------------------------------------------------------------------
-# Kernel totals: a frame and its record list count identically.
+# Kernel totals: a frame counts what its records count one at a time.
 # ---------------------------------------------------------------------------
 
 
-def _sorted_batch(rng, num_pes, n):
-    """Batch with sorted-unique neighborhoods (kernel precondition)."""
-    dests, vertices, targets, xadj, _ = _random_batch(rng, num_pes, n)
-    sizes = np.diff(xadj)
+def _sorted_blocks(rng, n, universe, max_size):
+    """CSR of ``n`` sorted-unique blocks over ``[0, universe)``."""
     chunks = [
-        np.sort(rng.choice(100, size=int(s), replace=False)).astype(np.int64)
-        for s in sizes
+        np.sort(rng.choice(universe, size=int(s), replace=False)).astype(np.int64)
+        for s in rng.integers(0, max_size, size=n)
     ]
-    neighbors = (
-        np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    )
-    # Clamp targets into the receiver's local window [0, 50).
-    targets = np.where(targets == BROADCAST, BROADCAST, targets % 50)
-    return dests, vertices, targets, xadj, neighbors
+    xadj = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([c.size for c in chunks], out=xadj[1:])
+    return xadj, np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
@@ -250,23 +232,28 @@ def test_count_record_pairs_frame_equals_record_list(seed):
     from repro.core.kernels import count_record_pairs
 
     rng = np.random.default_rng(seed)
-    _, vertices, targets, xadj, neighbors = _sorted_batch(rng, 4, 30)
-    frame = RecordFrame(vertices, targets, xadj, neighbors)
-    # A local CSR over vertices [0, 50): each has a sorted neighborhood.
-    lx = np.zeros(51, dtype=np.int64)
-    np.cumsum(rng.integers(0, 6, size=50), out=lx[1:])
-    ladj = np.sort(rng.integers(0, 100, size=int(lx[-1]))).astype(np.int64)
+    n = 30
+    xadj, neighbors = _sorted_blocks(rng, n, 100, 7)
+    # Targets clamped into the receiver's local window [0, 50).
+    targets = np.where(
+        rng.random(n) < 0.5, BROADCAST, rng.integers(0, 50, size=n)
+    ).astype(np.int64)
+    frame = RecordFrame(rng.integers(0, 500, size=n).astype(np.int64), targets, xadj, neighbors)
+    lx, ladj = _sorted_blocks(rng, 50, 100, 6)
 
-    def prog(ctx, records):
-        total = count_record_pairs(ctx, records, lx, ladj, 0, 50, 101)
-        charged = ctx.metrics.local_ops
-        return total, charged
+    # The record list, one record at a time: a targeted record pairs
+    # with its target, a broadcast one with every local neighbor.
+    expected = 0
+    for _, t, nbh in _canon(frame):
+        owned = [t] if t != BROADCAST else [u for u in nbh if u < 50]
+        for u in owned:
+            expected += len(set(nbh) & set(ladj[lx[u] : lx[u + 1]].tolist()))
+
+    def prog(ctx):
+        return count_record_pairs(ctx, frame, lx, ladj, 0, 50, 101)
         yield  # pragma: no cover
 
-    by_frame = Machine(1).run(prog, frame)
-    by_list = Machine(1).run(prog, frame.to_records())
-    assert by_frame.values == by_list.values
-    assert by_frame.time == by_list.time
+    assert Machine(1).run(prog).values == [expected]
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +278,6 @@ def test_process_machine_exchange_matches_simulator(mode):
 
 
 def test_process_machine_frame_path_matches_legacy_words():
-    legacy = ProcessMachine(2).run(exchange_program, 9, 25, "legacy", 30)
     frames = ProcessMachine(2).run(exchange_program, 9, 25, "frames", 30)
     want = QUEUE_REFERENCE[queue_key(2, 30, 9, 25)]
     for rank, (f, c, posted) in enumerate(frames.values):
@@ -299,10 +285,3 @@ def test_process_machine_frame_path_matches_legacy_words():
         assert _digest(sorted(c)) == want["received_sorted"][rank]
     assert [m.words_sent for m in frames.metrics.per_pe] == want["words_sent"]
     assert [m.messages_sent for m in frames.metrics.per_pe] == want["messages_sent"]
-    for (lf, lc, lp), (ff, fc, fp) in zip(legacy.values, frames.values):
-        assert lf == ff
-        assert lp == fp
-        assert sorted(lc) == sorted(fc)
-    for lm, fm in zip(legacy.metrics.per_pe, frames.metrics.per_pe):
-        assert lm.words_sent == fm.words_sent
-        assert lm.messages_sent == fm.messages_sent

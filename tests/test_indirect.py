@@ -5,12 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from repro.net import Grid, GridRouter, Machine, Record
-from repro.net.indirect import ForwardRecord
+from repro.net import ForwardFrame, Grid, GridRouter, Machine, RecordFrame
+from repro.net.frames import BROADCAST
 
 
 def _rec(v, size=2):
-    return Record(v, np.arange(size, dtype=np.int64))
+    """A one-record broadcast frame ``(v, [0, size))``."""
+    return RecordFrame(
+        np.array([v], dtype=np.int64),
+        np.array([BROADCAST], dtype=np.int64),
+        np.array([0, size], dtype=np.int64),
+        np.arange(size, dtype=np.int64),
+    )
 
 
 # ---------------------------------------------------------------- Grid
@@ -93,8 +99,8 @@ def test_router_delivers_exactly_once(p):
         r = GridRouter(ctx, "x", threshold_words=64)
         for d in range(p):
             r.post(d, _rec(ctx.rank * 100 + d))
-        recs = yield from r.finalize()
-        return sorted(rec.vertex for rec in recs)
+        recs = RecordFrame.concat((yield from r.finalize()))
+        return sorted(recs.vertices.tolist())
 
     res = Machine(p).run(prog)
     for rank, got in enumerate(res.values):
@@ -154,17 +160,20 @@ def test_router_at_most_doubles_volume():
 
 
 def test_forward_record_words():
-    fr = ForwardRecord(final_dest=3, record=_rec(0, size=4))
-    assert fr.words == _rec(0, size=4).words + 1
+    fr = ForwardFrame(np.array([3], dtype=np.int64), _rec(0, size=4))
+    assert fr.record_words().tolist() == [_rec(0, size=4).words + 1]
 
 
 def test_router_records_posted_counter():
     def prog(ctx):
         r = GridRouter(ctx, "x", threshold_words=64)
+        # On a 2x2 grid rank+1 is a direct (same row) or a row-hop
+        # destination depending on the rank: both count.
         r.post((ctx.rank + 1) % ctx.num_pes, _rec(1))
-        direct_plus_row = r.records_posted  # row-hop posts only
+        r.post_many(np.array([0, 3], dtype=np.int64), RecordFrame.concat([_rec(2), _rec(3)]))
+        posted = r.records_posted
         yield from r.finalize()
-        return direct_plus_row
+        return posted
 
     res = Machine(4).run(prog)
-    assert all(isinstance(v, int) for v in res.values)
+    assert res.values == [3, 3, 3, 3]

@@ -103,7 +103,7 @@ def prog(ctx):
 """,
     "R7": """
 def prog(ctx):
-    router.post_many(dst_ranks, vertices, targets, xadj, neighbors)
+    router.post_many(dst_ranks, frame)
     ctx.charge(1)
     yield
 """,
@@ -335,23 +335,22 @@ def prog(ctx):
 
 
 def test_r7_exempts_opaque_payloads_and_non_spmd_helpers():
-    # AMQ-style loops post an opaque per-destination object (a Bloom
-    # filter has no frameable array batch) — not flagged.
+    # AMQ-style loops charge each filter build before posting its
+    # one-record frame — not flagged.
     amq = """
 def prog(ctx):
     for start, end in zip(run_starts.tolist(), run_ends.tolist()):
-        rec = AmqRecord(vertex=1, targets=c_dst[start:end], amq=amq)
-        router.post(1, rec)
         ctx.charge(1)
+        router.post(1, AmqFrame.single(1, c_dst[start:end], amq))
     yield
 """
     assert lint_source(amq) == []
-    # The net-layer post_items fan-out helper never touches ctx, so it
-    # is outside SPMD scope and R7 does not apply.
+    # A fan-out helper that never touches ctx is outside SPMD scope,
+    # so R7 does not apply.
     helper = """
-def post_items(self, dest_ranks, records):
+def post_each(self, dest_ranks, records):
     for dest, record in zip(dest_ranks.tolist(), records):
-        self.post(int(dest), record)
+        self.post(int(dest), Record(vertex=dest, neighbors=record))
 """
     assert lint_source(helper) == []
     # Loops over plain Python iterables are fine even with Record posts.

@@ -107,42 +107,11 @@ def test_repeated_phase_accumulates():
 
 # ------------------------------------------------------ record semantics
 def test_record_is_frozen():
-    from repro.net import Record
+    from repro.net import RecordFrame
 
-    r = Record(1, np.arange(3))
+    frame = RecordFrame.empty()
     with pytest.raises(Exception):
-        r.vertex = 2  # type: ignore[misc]
-
-
-def test_unpack_records_mixed_payloads():
-    from repro.net import Message, Record, unpack_records
-
-    single = Record(1, np.arange(2))
-    batch = [Record(2, np.arange(1)), Record(3, np.arange(0))]
-    msgs = [
-        Message(0, 1, "t", single, single.words, 0.0),
-        Message(0, 1, "t", batch, sum(r.words for r in batch), 0.0),
-    ]
-    out = unpack_records(msgs)
-    assert [r.vertex for r in out] == [1, 2, 3]
-
-
-# ------------------------------------------------------ error branches
-def test_grid_router_rejects_foreign_row_records():
-    """A non-ForwardRecord on the row tag is a protocol violation."""
-    from repro.net import GridRouter, Machine, Record
-    import numpy as np
-
-    def prog(ctx):
-        router = GridRouter(ctx, "x", threshold_words=64)
-        # Inject a malformed record directly onto the row queue (self
-        # post -> handed back by the row finalize on this same PE).
-        router._row_queue.post(ctx.rank, Record(0, np.empty(0, dtype=np.int64)))
-        yield from router.finalize()
-        return "unreachable"
-
-    with pytest.raises(TypeError, match="ForwardRecord"):
-        Machine(1).run(prog)
+        frame.vertices = np.arange(3)  # type: ignore[misc]
 
 
 def test_process_machine_timeout():

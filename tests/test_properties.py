@@ -207,7 +207,7 @@ def test_grid_proxy_valid_for_all_pairs(p):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 12), st.data())
 def test_grid_router_delivery_random_traffic(p, data):
-    from repro.net import GridRouter, Record
+    from repro.net import GridRouter, RecordFrame
 
     traffic = data.draw(
         st.lists(
@@ -218,11 +218,16 @@ def test_grid_router_delivery_random_traffic(p, data):
 
     def prog(ctx):
         r = GridRouter(ctx, "t", threshold_words=32)
-        for src, dest in traffic:
-            if src == ctx.rank:
-                r.post(dest, Record(src * 1000 + dest, np.empty(0, dtype=np.int64)))
-        recs = yield from r.finalize()
-        return sorted(x.vertex for x in recs)
+        mine = [(src, dest) for src, dest in traffic if src == ctx.rank]
+        frame = RecordFrame(
+            np.array([src * 1000 + dest for src, dest in mine], dtype=np.int64),
+            np.full(len(mine), -1, dtype=np.int64),
+            np.zeros(len(mine) + 1, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+        )
+        r.post_many(np.array([dest for _, dest in mine], dtype=np.int64), frame)
+        recs = RecordFrame.concat((yield from r.finalize()))
+        return sorted(recs.vertices.tolist())
 
     res = Machine(p).run(prog)
     for rank in range(p):

@@ -14,11 +14,13 @@ import os
 import numpy as np
 import pytest
 
+from repro.amq import BloomFilter
+from repro.core.approx import AmqFrame
 from repro.core.edge_iterator import edge_iterator
 from repro.core.engine import EngineConfig, counting_program
 from repro.graphs import distribute
 from repro.graphs import generators as gen
-from repro.net.frames import BROADCAST, ForwardFrame, Record, RecordFrame
+from repro.net.frames import BROADCAST, ForwardFrame, RecordFrame
 from repro.net.parallel import ProcessMachine
 from repro.net.reliable import TransportError
 from repro.net.shm import (
@@ -43,17 +45,16 @@ def pool():
 
 def _frame(seed=0, n=40):
     rng = np.random.default_rng(seed)
-    return RecordFrame.from_records(
-        [
-            Record(
-                vertex=int(rng.integers(0, 100)),
-                neighbors=np.sort(rng.choice(100, size=5, replace=False)).astype(
-                    np.int64
-                ),
-                target=int(rng.integers(0, 100)) if i % 2 else BROADCAST,
-            )
-            for i in range(n)
-        ]
+    neighbors = np.concatenate(
+        [np.sort(rng.choice(100, size=5, replace=False)) for _ in range(n)]
+    ).astype(np.int64)
+    return RecordFrame(
+        rng.integers(0, 100, size=n).astype(np.int64),
+        np.where(np.arange(n) % 2 == 1, rng.integers(0, 100, size=n), BROADCAST).astype(
+            np.int64
+        ),
+        np.arange(0, 5 * n + 1, 5, dtype=np.int64),
+        neighbors,
     )
 
 
@@ -126,9 +127,13 @@ def test_mixed_payload_shapes_roundtrip(pool):
     """Every payload shape the aggregation layer emits must survive."""
     frame = _frame(1)
     fwd = ForwardFrame(
-        final_dests=np.arange(len(frame), dtype=np.int64) % 3, frame=_frame(2)
+        final_dests=np.arange(frame.num_records, dtype=np.int64) % 3, frame=_frame(2)
     )
-    for payload in [frame, fwd, [frame, ("misc", 7)], [("token", 1), ("token", 2)]]:
+    bloom = BloomFilter.for_elements(5, bits_per_element=8, seed=3)
+    bloom.add(np.arange(5, dtype=np.int64))
+    amq = AmqFrame.single(3, np.arange(4, dtype=np.int64), bloom)
+    for payload in [frame, fwd, amq, ForwardFrame(np.zeros(1, dtype=np.int64), amq),
+                    [("token", 1), ("token", 2)]]:
         descriptor, _, _ = pool.encode(payload)
         if descriptor is None:  # no array body worth a slot: legacy path
             continue
@@ -144,8 +149,11 @@ def test_min_bytes_keeps_small_payloads_on_legacy_path(pool):
 
 
 def test_oversized_payload_spills(pool):
-    big = RecordFrame.from_records(
-        [Record(vertex=0, neighbors=np.arange(5000, dtype=np.int64), target=1)]
+    big = RecordFrame(
+        np.array([0], dtype=np.int64),
+        np.array([1], dtype=np.int64),
+        np.array([0, 5000], dtype=np.int64),
+        np.arange(5000, dtype=np.int64),
     )
     descriptor, _, spilled = pool.encode(big)
     assert descriptor is None and spilled
