@@ -83,20 +83,6 @@ class AmqFrame:
     filters: np.ndarray
 
     @classmethod
-    def single(
-        cls, vertex: int, targets: np.ndarray, amq: BloomFilter | SingleShotBloomFilter
-    ) -> "AmqFrame":
-        """The one-record frame ``(vertex, targets, amq)``."""
-        filters = np.empty(1, dtype=object)
-        filters[0] = amq
-        return cls(
-            np.array([vertex], dtype=np.int64),
-            np.array([0, targets.size], dtype=np.int64),
-            np.asarray(targets, dtype=np.int64),
-            filters,
-        )
-
-    @classmethod
     def concat(cls, parts) -> "AmqFrame":
         """All records of ``parts``, in order, as one frame."""
         if not parts:
@@ -180,22 +166,35 @@ def _post_amq_runs(
 ) -> None:
     """Post one AMQ record per (vertex, destination PE) run of cut arcs.
 
-    The run members are exactly the receiver-side targets.  One post
-    per run, not one ``post_many``: each filter build is charged before
-    its record is posted, so a flush happens at the same simulated time
-    as the builds that filled the buffer.
+    The run members are exactly the receiver-side targets.  Each filter
+    build is charged to the clock before its record is posted, so a
+    flush lands after exactly the builds that filled the buffer.  The
+    records go out in chunks that cannot reach the flush threshold; a
+    record that may reach it is posted alone, right after its build.
     """
     first = _surrogate_filter(c_src, dst_ranks, enabled=True)
     ctx.charge(c_src.size)
     run_starts = np.flatnonzero(first)
-    run_ends = np.concatenate([run_starts[1:], [c_src.size]])
-    for start, end in zip(run_starts.tolist(), run_ends.tolist()):
-        slot = int(c_src[start])
-        v = vlo + slot
+    slots = c_src[run_starts]
+    filters = np.empty(slots.size, dtype=object)
+    for i, slot in enumerate(slots.tolist()):
         nbh = send_adj[send_xadj[slot] : send_xadj[slot + 1]]
-        amq = _make_amq(kind, nbh, v, budget)
-        ctx.charge(nbh.size)  # filter construction
-        router.post(int(dst_ranks[start]), AmqFrame.single(v, c_dst[start:end], amq))
+        filters[i] = _make_amq(kind, nbh, vlo + slot, budget)
+    frame = AmqFrame(vlo + slots, np.append(run_starts, c_src.size), c_dst, filters)
+    build_ops = np.diff(send_xadj)[slots].tolist()
+    dests = dst_ranks[run_starts]
+    # What a record can add to a buffer: its words plus, on the grid
+    # router's row hop, one routing word.
+    reach = np.cumsum(frame.record_words() + 1)
+    start = 0
+    while start < slots.size:
+        done = int(reach[start - 1]) if start else 0
+        room = router.threshold_words - router.buffered_words
+        stop = max(start + 1, int(np.searchsorted(reach, done + room, "right")))
+        for ops in build_ops[start:stop]:
+            ctx.charge(ops)  # filter construction
+        router.post_many(dests[start:stop], frame.select(np.arange(start, stop)))
+        start = stop
 
 
 def amq_cetric_program(

@@ -80,9 +80,7 @@ R7
     :class:`~repro.net.frames.RecordFrame` — same contents, same words
     charge, a fraction of the interpreter overhead.  Only ``Record``
     payloads are flagged: a loop that must do per-record work between
-    posts (the AMQ phase charges each filter build before it posts the
-    filter's :class:`~repro.core.approx.AmqFrame`) legitimately posts
-    one at a time.
+    posts of another payload kind is left alone.
 
 The rules are heuristic by design (no type inference); suppress a
 deliberate violation with ``# noqa: R<n>`` on the offending line.

@@ -125,8 +125,14 @@ class GridRouter:
             count=ctx.num_pes,
         )
         ctx.charge(ctx.num_pes)  # the O(p) proxy table above
+        self.threshold_words = int(threshold_words)
         #: Application records posted at this PE (not counting forwards).
         self.records_posted = 0
+
+    @property
+    def buffered_words(self) -> int:
+        """Words buffered in the row and the column queue together."""
+        return self._row_queue.buffered_words + self._col_queue.buffered_words
 
     def post(self, dest: int, frame) -> None:
         """Route every record of ``frame`` towards ``dest``."""

@@ -335,13 +335,13 @@ def prog(ctx):
 
 
 def test_r7_exempts_opaque_payloads_and_non_spmd_helpers():
-    # AMQ-style loops charge each filter build before posting its
-    # one-record frame — not flagged.
+    # Loops that do per-record work between posts of non-Record
+    # payloads (one filter per run) — not flagged.
     amq = """
 def prog(ctx):
     for start, end in zip(run_starts.tolist(), run_ends.tolist()):
         ctx.charge(1)
-        router.post(1, AmqFrame.single(1, c_dst[start:end], amq))
+        router.post(1, make_filter_frame(c_dst[start:end]))
     yield
 """
     assert lint_source(amq) == []

@@ -131,7 +131,12 @@ def test_mixed_payload_shapes_roundtrip(pool):
     )
     bloom = BloomFilter.for_elements(5, bits_per_element=8, seed=3)
     bloom.add(np.arange(5, dtype=np.int64))
-    amq = AmqFrame.single(3, np.arange(4, dtype=np.int64), bloom)
+    filters = np.empty(1, dtype=object)
+    filters[0] = bloom
+    amq = AmqFrame(
+        np.array([3], dtype=np.int64), np.array([0, 4], dtype=np.int64),
+        np.arange(4, dtype=np.int64), filters,
+    )
     for payload in [frame, fwd, amq, ForwardFrame(np.zeros(1, dtype=np.int64), amq),
                     [("token", 1), ("token", 2)]]:
         descriptor, _, _ = pool.encode(payload)
