@@ -24,7 +24,12 @@ network.  Each section below recomputes one part of the file:
   estimates as ``repr``, per-PE remote parts or a digest of the
   per-vertex Δ, simulated time, per-PE messages/words and buffer peaks.
   These estimates are float sums, so they pin the order in which
-  records are posted and received.
+  records are posted and received;
+* ``router_scale`` (its ``cases``) — CETRIC² and DITRIC² over the grid
+  router at p ∈ {10, 27, 64} (non-square grids with a partial last
+  row) with a flush threshold small enough that proxies' column queues
+  flush while re-posting: count, simulated time, machine events, per-PE
+  clock, message/word counters and buffer peaks.
 
 Three sections are checked where the code they pin lives:
 ``queue_reference`` (the aggregation queue's outcomes on random record
@@ -33,7 +38,8 @@ batches, recorded from one ``post`` per record) by
 steps per p of the idle-PE benchmark) by
 ``benchmarks/bench_engine_scale.py``; ``bench_frames`` (the exchange
 of the frame benchmark, recorded from its per-record arm) by
-``benchmarks/bench_frames.py``.
+``benchmarks/bench_frames.py``; ``router_scale`` ``bench`` (CETRIC² on
+RMAT scale 10 at p = 256) by ``benchmarks/bench_router_scale.py``.
 
 Nothing regenerates the file.  A change that alters the model edits the
 JSON and says why.
@@ -56,7 +62,7 @@ from repro.faults import CrashEvent, FaultPlan, format_campaign, run_campaign
 from repro.faults.chaos import CHAOS_ALGORITHMS, default_chaos_graph
 from repro.graphs import distribute
 from repro.graphs import generators as gen
-from repro.net import Machine
+from repro.net import GridRouter, Machine
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "fingerprints.json").read_text()
@@ -80,6 +86,12 @@ AMQ_KINDS = ("bloom", "ssbf")
 AMQ_PES = (4, 7, 9)
 #: Direct queue (CETRIC) and grid router (CETRIC²) global phases.
 AMQ_ROUTES = ("cetric", "cetric2")
+
+ROUTER_VARIANTS = ("cetric2", "ditric2")
+#: 4×3, 5×6 with a partial last row, and 8×8 grids.
+ROUTER_PES = (10, 27, 64)
+#: Small enough that a proxy's column queue flushes while it re-posts.
+ROUTER_THRESHOLD_FACTOR = 0.25
 
 
 def _plain(obj):
@@ -250,6 +262,37 @@ def amq_runs():
     return _plain(out)
 
 
+def router_scale_runs():
+    """The ``router_scale`` cases; also returns the ranks whose column
+    queue flushed inside a ``GridRouter._repost`` call."""
+    graph = gen.rmat(9, 8, seed=7)
+    out = {}
+    flushed_mid_repost = set()
+    repost = GridRouter._repost
+
+    def observed_repost(router, *args):
+        before = router._col_queue.flushes
+        repost(router, *args)
+        if router._col_queue.flushes > before:
+            flushed_mid_repost.add((router.ctx.num_pes, router.ctx.rank))
+
+    GridRouter._repost = observed_repost
+    try:
+        for p in ROUTER_PES:
+            dist = distribute(graph, num_pes=p)
+            for variant in ROUTER_VARIANTS:
+                config = dataclasses.replace(
+                    _ENGINE_CONFIGS[variant], threshold_factor=ROUTER_THRESHOLD_FACTOR
+                )
+                res = Machine(p).run(counting_program, dist, config)
+                fp = _run_fingerprint(res)
+                fp["peak_buffer_words"] = [m.peak_buffer_words for m in res.metrics.per_pe]
+                out[f"{variant}/p{p}"] = fp
+    finally:
+        GridRouter._repost = repost
+    return _plain(out), flushed_mid_repost
+
+
 def _assert_matches(got, want, label):
     assert set(got) == set(want), label
     for key in want:
@@ -282,3 +325,10 @@ def test_chaos_campaign_matches_golden():
 
 def test_amq_matches_golden():
     _assert_matches(amq_runs(), GOLDEN["amq"], "amq")
+
+
+def test_router_scale_matches_golden():
+    got, flushed_mid_repost = router_scale_runs()
+    _assert_matches(got, GOLDEN["router_scale"]["cases"], "router_scale")
+    # The cases exercise a column-queue flush in the middle of a re-post.
+    assert flushed_mid_repost
