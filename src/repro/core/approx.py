@@ -44,7 +44,7 @@ from ..graphs.csr import CSRGraph
 from ..graphs.distributed import DistGraph
 from ..net.aggregation import BufferedMessageQueue
 from ..net.comm import allreduce, alltoallv_dense
-from ..net.frames import csr_concat, csr_select
+from ..net.frames import csr_concat, csr_select, csr_slice, freeze
 from ..net.indirect import GridRouter
 from ..net.machine import PEContext
 from .edge_iterator import edge_iterator
@@ -114,7 +114,16 @@ class AmqFrame:
         """Sub-frame of the records listed in ``idx`` (in that order)."""
         idx = np.asarray(idx, dtype=np.int64)
         xadj, targets = csr_select(self.xadj, self.targets, idx)
-        return AmqFrame(self.vertices[idx], xadj, targets, self.filters[idx])
+        out = AmqFrame(self.vertices[idx], xadj, targets, self.filters[idx])
+        freeze(out.vertices, out.xadj, out.targets, out.filters)
+        return out
+
+    def slice(self, start: int, stop: int) -> "AmqFrame":
+        """Records ``start:stop`` as views of this frame's arrays."""
+        xadj, targets = csr_slice(self.xadj, self.targets, start, stop)
+        return AmqFrame(
+            self.vertices[start:stop], xadj, targets, self.filters[start:stop]
+        )
 
     def records(self):
         """``(vertex, targets, filter)`` per record, in frame order."""

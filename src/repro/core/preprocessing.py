@@ -67,13 +67,18 @@ def exchange_ghost_degrees(
     # Who needs which of my vertices: unique (target rank, v) pairs.
     payloads: dict[int, tuple[tuple[np.ndarray, np.ndarray], int]] = {}
     if cut.size:
-        tgt_ranks = part.rank_of(cut[:, 1])
-        pairs = np.unique(np.column_stack([tgt_ranks, cut[:, 0]]), axis=0)
+        # One sorted key per pair, rank-major: the runs of equal rank are
+        # the send lists, each with its vertex ids ascending.
+        n = np.int64(part.num_vertices)
+        keys = np.unique(part.rank_of(cut[:, 1]) * n + cut[:, 0])
         ctx.charge(cut.shape[0])  # scanning cut arcs to build send lists
-        for rank in np.unique(pairs[:, 0]):
-            ids = pairs[pairs[:, 0] == rank, 1]
-            degs = lg.xadj[ids - lg.vlo + 1] - lg.xadj[ids - lg.vlo]
-            payloads[int(rank)] = ((ids, degs), 2 * ids.size)
+        ranks, ids = np.divmod(keys, n)
+        degs = lg.xadj[ids - lg.vlo + 1] - lg.xadj[ids - lg.vlo]
+        bounds = (np.flatnonzero(np.diff(ranks)) + 1).tolist()
+        starts = [0, *bounds]
+        ends = [*bounds, int(keys.size)]
+        for rank, s, e in zip(ranks[starts].tolist(), starts, ends):
+            payloads[rank] = ((ids[s:e], degs[s:e]), 2 * (e - s))
     if mode == "dense":
         msgs = yield from alltoallv_dense(ctx, payloads, tag_label="deg-xchg")
     else:

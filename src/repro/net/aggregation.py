@@ -141,20 +141,22 @@ class BufferedMessageQueue:
             start = stop
 
     def _append_segment(self, frame, idx, dests, rw) -> None:
-        """Append one flush segment's records to per-destination builders."""
+        """Append one flush segment's records to per-destination builders.
+
+        One ``select`` gathers the segment grouped by destination (stable,
+        so each destination keeps batch order); every destination's
+        builder then gets a ``slice`` of that read-only gather.
+        """
         order = np.argsort(dests, kind="stable")
-        idx = idx[order]
         d_sorted = dests[order]
-        rw_sorted = rw[order]
-        bounds = np.flatnonzero(np.diff(d_sorted)) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [d_sorted.size]))
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            dest = int(d_sorted[s])
-            self._builders.setdefault(dest, FrameBuilder()).append(frame.select(idx[s:e]))
-            self._buffer_words[dest] = self._buffer_words.get(dest, 0) + int(
-                rw_sorted[s:e].sum()
-            )
+        grouped = frame.select(idx[order])
+        cw = [0, *np.cumsum(rw[order]).tolist()]
+        bounds = (np.flatnonzero(np.diff(d_sorted)) + 1).tolist()
+        starts = [0, *bounds]
+        ends = [*bounds, int(order.size)]
+        for dest, s, e in zip(d_sorted[starts].tolist(), starts, ends):
+            self._builders.setdefault(dest, FrameBuilder()).append(grouped.slice(s, e))
+            self._buffer_words[dest] = self._buffer_words.get(dest, 0) + cw[e] - cw[s]
 
     def flush(self) -> None:
         """Send every non-empty buffer as one aggregated message.

@@ -16,9 +16,18 @@ A frame kind provides
 * ``record_words()`` — the charged wire size of each record, the
   quantity the aggregation queue's δ threshold is measured in;
 * ``select(idx)`` — the sub-frame of the records listed in ``idx``, in
-  that order, in fresh arrays;
+  that order, in fresh read-only arrays;
+* ``slice(start, stop)`` — the records ``start:stop`` as views of the
+  frame's arrays (only the CSR offsets are rebased, into a new
+  read-only array);
 * ``concat(parts)`` — a classmethod packing frames of that kind into
   one, in order.
+
+Aliasing: slices share read-only buffers.  The aggregation queue
+gathers a flush segment with one ``select`` and hands each destination
+a ``slice`` of it, so frames sent to different PEs may be views of one
+buffer; ``select`` marks its arrays read-only, so no receiver can
+write through its view into a sibling's records.
 
 Three kinds exist: :class:`RecordFrame` (a vertex and a neighborhood
 per record), :class:`ForwardFrame` (any frame plus a final destination
@@ -56,7 +65,9 @@ __all__ = [
     "ForwardFrame",
     "FrameBuilder",
     "csr_select",
+    "csr_slice",
     "csr_concat",
+    "freeze",
 ]
 
 #: Sentinel in ``RecordFrame.targets`` marking a broadcast record.
@@ -65,6 +76,22 @@ BROADCAST = -1
 
 def _as_i64(a) -> np.ndarray:
     return np.asarray(a, dtype=np.int64)
+
+
+def freeze(*arrays: np.ndarray) -> None:
+    """Mark ``arrays`` read-only (views of them are read-only too)."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def csr_slice(xadj: np.ndarray, values: np.ndarray, start: int, stop: int):
+    """Blocks ``start:stop`` of a CSR: read-only rebased offsets and a view
+    of ``values``."""
+    offsets = xadj[start : stop + 1]
+    lo = int(offsets[0])
+    rebased = offsets - lo
+    freeze(rebased)
+    return rebased, values[lo : int(offsets[-1])]
 
 
 def csr_select(xadj: np.ndarray, values: np.ndarray, idx: np.ndarray):
@@ -93,9 +120,10 @@ class RecordFrame:
 
     Record ``i`` is ``(vertices[i], targets[i],
     neighbors[xadj[i]:xadj[i+1]])`` with ``targets[i] == -1`` meaning
-    broadcast.  Frames are frozen and ``select`` always allocates
-    fresh arrays, so a frame can be shared between PEs of the simulated
-    machine without aliasing hazards.
+    broadcast.  Frames are frozen; ``select`` allocates fresh read-only
+    arrays and ``slice`` returns views of them, so slices sent to
+    different PEs of the simulated machine share read-only buffers and
+    cannot write into each other's records.
     """
 
     vertices: np.ndarray
@@ -152,7 +180,16 @@ class RecordFrame:
         """Sub-frame of the records listed in ``idx`` (in that order)."""
         idx = _as_i64(idx)
         xadj, neighbors = csr_select(self.xadj, self.neighbors, idx)
-        return RecordFrame(self.vertices[idx], self.targets[idx], xadj, neighbors)
+        out = RecordFrame(self.vertices[idx], self.targets[idx], xadj, neighbors)
+        freeze(out.vertices, out.targets, out.xadj, out.neighbors)
+        return out
+
+    def slice(self, start: int, stop: int) -> "RecordFrame":
+        """Records ``start:stop`` as views of this frame's arrays."""
+        xadj, neighbors = csr_slice(self.xadj, self.neighbors, start, stop)
+        return RecordFrame(
+            self.vertices[start:stop], self.targets[start:stop], xadj, neighbors
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -197,7 +234,13 @@ class ForwardFrame:
     def select(self, idx: np.ndarray) -> "ForwardFrame":
         """Sub-frame of the records listed in ``idx`` (in that order)."""
         idx = _as_i64(idx)
-        return ForwardFrame(self.final_dests[idx], self.frame.select(idx))
+        final_dests = self.final_dests[idx]
+        freeze(final_dests)
+        return ForwardFrame(final_dests, self.frame.select(idx))
+
+    def slice(self, start: int, stop: int) -> "ForwardFrame":
+        """Records ``start:stop`` as views of this frame's arrays."""
+        return ForwardFrame(self.final_dests[start:stop], self.frame.slice(start, stop))
 
 
 class FrameBuilder:

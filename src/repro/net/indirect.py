@@ -23,7 +23,10 @@ proxy re-aggregates everything bound for the same final destination
 aggregated at the proxy" effect), and the threshold keeps memory
 linear.  Row-hop records travel as a
 :class:`~repro.net.frames.ForwardFrame` around the posted frame, which
-may be of any kind: one routing word per record.
+may be of any kind: one routing word per record.  A proxy packs its
+whole row inbox into one frame and re-posts it with a single
+``post_many`` — the same flushes, order and charges as re-posting
+message by message, at one call per PE instead of one per message.
 
 Indirect hops ride ordinary machine messages, so under the contended
 network model (:class:`repro.sim.network.Network`) *each hop* claims
@@ -161,26 +164,31 @@ class GridRouter:
                 hops[idx], ForwardFrame(dest_ranks[idx], frame.select(idx))
             )
 
-    def _repost(self, fwd: ForwardFrame) -> None:
-        """Proxy step: re-post a forwarded frame toward its final destinations.
+    def _repost(self, inbox: list) -> None:
+        """Proxy step: re-post the row inbox toward its final destinations.
 
-        Records already at their destination are handed back locally by
-        the column queue at zero wire cost.
+        The forwarded frames are packed into one and posted with one
+        ``post_many``, which equals re-posting them one by one (same
+        flush boundaries, per-destination order, buffer peaks and wire
+        words).  Records already at their destination are handed back
+        locally by the column queue at zero wire cost.
         """
-        self._col_queue.post_many(fwd.final_dests, fwd.frame)
+        if inbox:
+            fwd = ForwardFrame.concat(inbox)
+            self._col_queue.post_many(fwd.final_dests, fwd.frame)
 
     def finalize(self) -> Generator[None, None, list]:
         """Flush, forward at proxies, and return the frames for this PE.
 
         Collective.  Two aggregation rounds: row flush + barrier, then
-        each PE re-posts the row frames it proxied to their final
-        destinations, column flush + barrier, and a final drain.
-        Returns the column queue's frames (see
+        each PE re-posts everything it proxied to the final
+        destinations in one batch, column flush + barrier, and a final
+        drain.  The row inbox is never bound here, so it is freed
+        before the column hop.  Returns the column queue's frames (see
         :meth:`BufferedMessageQueue.finalize`).
         """
         with self.ctx.span("grid-row-hop"):
-            for fwd in (yield from self._row_queue.finalize()):
-                self._repost(fwd)
+            self._repost((yield from self._row_queue.finalize()))
         with self.ctx.span("grid-col-hop"):
             frames = yield from self._col_queue.finalize()
         return frames

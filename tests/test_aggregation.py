@@ -150,3 +150,34 @@ def test_volume_matches_record_words():
     expected = 10 * (4 + HEADER_WORDS)
     # plus barrier control words
     assert sent == expected + 1
+
+
+@pytest.mark.parametrize("with_self", [False, True])
+def test_post_many_without_flush_gathers_once(monkeypatch, with_self):
+    """One ``select`` per flush segment (plus one for self-addressed
+    records), however many destinations the segment spans."""
+    selects = []
+    select = RecordFrame.select
+
+    def counted_select(self, idx):
+        selects.append(len(idx))
+        return select(self, idx)
+
+    monkeypatch.setattr(RecordFrame, "select", counted_select)
+    p = 6
+
+    def prog(ctx):
+        q = BufferedMessageQueue(ctx, "g", threshold_words=10_000)
+        if ctx.rank == 0:
+            dests = np.array([5, 1, 3, 1, 2, 5, 4, 3, 4, 2], dtype=np.int64)
+            if with_self:
+                dests[8] = 0
+            frame = RecordFrame.concat([_rec(v) for v in range(dests.size)])
+            selects.clear()
+            q.post_many(dests, frame)
+            assert q.flushes == 0
+        yield from q.finalize()
+        return None
+
+    Machine(p).run(prog)
+    assert selects == ([1, 9] if with_self else [10])

@@ -10,6 +10,7 @@ time outcomes are pinned in the ``queue_reference`` section of
 ``tests/golden/fingerprints.json``.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -17,6 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.amq import BloomFilter
+from repro.core.approx import AmqFrame
 from repro.net import (
     HEADER_WORDS,
     BufferedMessageQueue,
@@ -116,6 +119,102 @@ def test_forward_frame_charges_routing_word_and_keeps_order():
     again = ForwardFrame.concat(parts)
     assert again.final_dests.tolist() == fwd.final_dests.tolist()
     assert _canon(again.frame) == _canon(frame)
+
+
+def _amq_frame(rng, n):
+    """An ``AmqFrame`` with random target lists and one filter per record."""
+    sizes = rng.integers(0, 5, size=n).astype(np.int64)
+    xadj = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(sizes, out=xadj[1:])
+    filters = np.empty(n, dtype=object)
+    for i in range(n):
+        filters[i] = BloomFilter.for_elements(int(sizes[i]) + 1, seed=i)
+    return AmqFrame(
+        rng.integers(0, 500, size=n).astype(np.int64),
+        xadj,
+        rng.integers(0, 500, size=int(xadj[-1])).astype(np.int64),
+        filters,
+    )
+
+
+def _frames_of_every_kind(n, seed=17):
+    rng = np.random.default_rng(seed)
+    _, records = _random_batch(rng, 4, n)
+    amq = _amq_frame(rng, n)
+    dests = rng.integers(0, 9, size=n).astype(np.int64)
+    return {
+        "record": records,
+        "amq": amq,
+        "forward-record": ForwardFrame(dests, records),
+        "forward-amq": ForwardFrame(dests, amq),
+    }
+
+
+def _columns(frame):
+    """Every array of a frame, nested frames flattened, in field order."""
+    out = []
+    for field in dataclasses.fields(frame):
+        value = getattr(frame, field.name)
+        out.extend([value] if isinstance(value, np.ndarray) else _columns(value))
+    return out
+
+
+def _same_column(a, b):
+    if a.dtype == object:
+        return b.dtype == object and [id(x) for x in a] == [id(x) for x in b]
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", ["record", "amq", "forward-record", "forward-amq"])
+def test_slice_equals_select_of_range(kind):
+    n = 13
+    frame = _frames_of_every_kind(n)[kind]
+    for start, stop in ((0, 0), (5, 5), (n, n), (0, 1), (4, 5), (n - 1, n), (3, 9), (0, n)):
+        got = frame.slice(start, stop)
+        want = frame.select(np.arange(start, stop))
+        assert type(got) is type(want)
+        assert got.num_records == stop - start
+        assert got.record_words().tolist() == want.record_words().tolist()
+        got_cols, want_cols = _columns(got), _columns(want)
+        assert len(got_cols) == len(want_cols)
+        for g, w in zip(got_cols, want_cols):
+            assert _same_column(g, w), (kind, start, stop)
+
+
+@pytest.mark.parametrize("kind", ["record", "amq", "forward-record", "forward-amq"])
+def test_shared_buffers_are_read_only(kind):
+    """Slices of one gather are views of it: none of them can be written."""
+    frame = _frames_of_every_kind(13)[kind]
+    grouped = frame.select(np.arange(12, -1, -1))
+    for view in (grouped, grouped.slice(0, 4), grouped.slice(4, 13)):
+        for column in _columns(view):
+            if column.size == 0:
+                continue
+            with pytest.raises(ValueError):
+                column[0] = column[-1]
+
+
+def test_frames_sent_by_the_queue_are_read_only():
+    """Two destinations of one flush segment share a buffer but cannot
+    write into each other's records."""
+
+    def prog(ctx):
+        q = BufferedMessageQueue(ctx, "ro", threshold_words=10_000)
+        if ctx.rank == 0:
+            rng = np.random.default_rng(3)
+            _, frame = _random_batch(rng, 3, 12)
+            q.post_many(np.arange(12, dtype=np.int64) % 2 + 1, frame)
+        frames = yield from q.finalize()
+        return [
+            not col.flags.writeable
+            for f in frames
+            for col in (f.vertices, f.targets, f.neighbors)
+        ]
+
+    res = Machine(3).run(prog)
+    assert res.values[0] == []
+    assert res.values[1] and all(res.values[1])
+    assert res.values[2] and all(res.values[2])
 
 
 # ---------------------------------------------------------------------------

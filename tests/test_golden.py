@@ -88,7 +88,7 @@ AMQ_PES = (4, 7, 9)
 AMQ_ROUTES = ("cetric", "cetric2")
 
 ROUTER_VARIANTS = ("cetric2", "ditric2")
-#: 4×3, 5×6 with a partial last row, and 8×8 grids.
+#: Grids of 4×3 and 6×5 PEs, both with a partial last row, and 8×8.
 ROUTER_PES = (10, 27, 64)
 #: Small enough that a proxy's column queue flushes while it re-posts.
 ROUTER_THRESHOLD_FACTOR = 0.25

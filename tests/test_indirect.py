@@ -1,11 +1,25 @@
 """Tests for grid-based indirect message delivery (Section IV-B)."""
 
+import gc
 import math
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.net import ForwardFrame, Grid, GridRouter, Machine, RecordFrame
+from repro.analysis.runner import _ENGINE_CONFIGS
+from repro.core.engine import counting_program
+from repro.graphs import distribute
+from repro.graphs import generators as gen
+from repro.net import (
+    BufferedMessageQueue,
+    ForwardFrame,
+    Grid,
+    GridRouter,
+    Machine,
+    RecordFrame,
+)
 from repro.net.frames import BROADCAST
 
 
@@ -177,3 +191,56 @@ def test_router_records_posted_counter():
 
     res = Machine(4).run(prog)
     assert res.values == [3, 3, 3, 3]
+
+
+# ------------------------------------------------- Host work per proxy
+def _cetric2_run(p):
+    dist = distribute(gen.rmat(9, 8, seed=3), num_pes=p)
+    return Machine(p).run(counting_program, dist, _ENGINE_CONFIGS["cetric2"])
+
+
+@pytest.mark.parametrize("p", [10, 27])
+def test_proxy_reposts_once_and_queues_post_three_times(monkeypatch, p):
+    """Exact host-work counters: one re-post per proxy, and per PE at most
+    the row and column post of the application batch plus that re-post."""
+    reposts, posts = Counter(), Counter()
+    repost, post_many = GridRouter._repost, BufferedMessageQueue.post_many
+
+    def counted_repost(self, *args):
+        reposts[self.ctx.rank] += 1
+        return repost(self, *args)
+
+    def counted_post_many(self, *args):
+        posts[self.ctx.rank] += 1
+        return post_many(self, *args)
+
+    monkeypatch.setattr(GridRouter, "_repost", counted_repost)
+    monkeypatch.setattr(BufferedMessageQueue, "post_many", counted_post_many)
+    _cetric2_run(p)
+    assert sum(reposts.values()) == p  # every PE finalizes its router once
+    assert max(reposts.values()) == 1
+    assert max(posts.values()) <= 3
+
+
+def test_proxy_drops_row_inbox_before_column_hop(monkeypatch):
+    """The row inbox must be garbage once the column hop starts: holding
+    it across the column barrier keeps every forwarded frame alive."""
+    refs: dict[int, list] = {}
+    leaked: dict[int, int] = {}
+    repost, finalize = GridRouter._repost, BufferedMessageQueue.finalize
+
+    def tracked_repost(self, inbox):
+        refs[self.ctx.rank] = [weakref.ref(f) for f in inbox]
+        return repost(self, inbox)
+
+    def checked_finalize(self):
+        if self.tag[0] == "grid-col":
+            gc.collect()
+            leaked[self.ctx.rank] = sum(r() is not None for r in refs[self.ctx.rank])
+        return (yield from finalize(self))
+
+    monkeypatch.setattr(GridRouter, "_repost", tracked_repost)
+    monkeypatch.setattr(BufferedMessageQueue, "finalize", checked_finalize)
+    _cetric2_run(10)
+    assert sum(len(r) for r in refs.values()) > 0  # proxies did receive frames
+    assert leaked == dict.fromkeys(range(10), 0)

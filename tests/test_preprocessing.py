@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import preprocessing
 from repro.core.orientation import orient_by_degree
 from repro.core.preprocessing import build_oriented, exchange_ghost_degrees
 from repro.graphs import distribute
@@ -136,3 +137,66 @@ def test_out_degrees_property(random_graph):
     res = Machine(2).run(_orient_prog, dist, False)
     for og in res.values:
         assert np.array_equal(og.out_degrees(), np.diff(og.oxadj))
+
+
+def _reference_send_lists(lg):
+    """The 2-D ``unique`` send lists: ``{rank: ((ids, degrees), words)}``."""
+    cut = lg.cut_edges()
+    out = {}
+    if not cut.size:
+        return out
+    tgt_ranks = lg.partition.rank_of(cut[:, 1])
+    pairs = np.unique(np.column_stack([tgt_ranks, cut[:, 0]]), axis=0)
+    for rank in np.unique(pairs[:, 0]):
+        ids = pairs[pairs[:, 0] == rank, 1]
+        degs = lg.xadj[ids - lg.vlo + 1] - lg.xadj[ids - lg.vlo]
+        out[int(rank)] = ((ids, degs), 2 * ids.size)
+    return out
+
+
+def _same_send_lists(got, want):
+    if list(got) != list(want):
+        return False
+    for rank, ((ids, degs), words) in want.items():
+        (g_ids, g_degs), g_words = got[rank]
+        if g_words != words:
+            return False
+        for a, b in ((g_ids, ids), (g_degs, degs)):
+            if a.dtype != b.dtype or a.tobytes() != b.tobytes():
+                return False
+    return True
+
+
+@pytest.mark.parametrize("mode", ["dense", "sparse"])
+@pytest.mark.parametrize(
+    "graph,p",
+    [
+        (gen.gnm(400, 2500, seed=11), 7),
+        (gen.rmat(9, 8, seed=12), 10),
+        (gen.rhg(600, avg_degree=10, seed=14), 12),
+        (gen.disjoint_cliques(4, 5), 4),  # every edge local: empty cut
+        (gen.ring(6), 9),  # p > n: some PEs own nothing
+    ],
+    ids=["gnm-p7", "rmat-p10", "rhg-p12", "empty-cut", "p-gt-n"],
+)
+def test_degree_send_lists_match_2d_unique(monkeypatch, mode, graph, p):
+    """Per-destination payloads equal the 2-D ``unique`` reference:
+    same destinations, same ids in the same order, same words."""
+    sent = {}
+    dense, sparse = preprocessing.alltoallv_dense, preprocessing.sparse_alltoall
+
+    def captured_dense(ctx, payloads, **kw):
+        sent[ctx.rank] = dict(payloads)
+        return (yield from dense(ctx, payloads, **kw))
+
+    def captured_sparse(ctx, triples, **kw):
+        sent[ctx.rank] = {d: (payload, w) for d, payload, w in triples}
+        return (yield from sparse(ctx, triples, **kw))
+
+    monkeypatch.setattr(preprocessing, "alltoallv_dense", captured_dense)
+    monkeypatch.setattr(preprocessing, "sparse_alltoall", captured_sparse)
+    dist = distribute(graph, num_pes=p)
+    Machine(p).run(_exchange_prog, dist, mode)
+    assert sorted(sent) == list(range(p))
+    for rank in range(p):
+        assert _same_send_lists(sent[rank], _reference_send_lists(dist.view(rank))), rank
