@@ -15,9 +15,9 @@ paper's intra-node building blocks:
 
 Both return per-worker work counts so the load-balance difference the
 paper describes is measurable, and both run their workers through a
-thread pool (NumPy kernels release the GIL for the bulk of the work;
-the `parallel=False` escape hatch keeps results bit-identical for
-tests).
+thread pool (the native C kernels and NumPy release the GIL for the
+bulk of the work; the `parallel=False` escape hatch keeps results
+bit-identical for tests).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.intersect import batch_intersect_count, gather_blocks
+from ..core.intersect import csr_intersect_count
 from ..core.orientation import orient_by_degree
 from ..graphs.csr import CSRGraph
 
@@ -55,11 +55,9 @@ def _count_arc_range(
     og: CSRGraph, src: np.ndarray, lo: int, hi: int
 ) -> tuple[int, int]:
     """Count triangles over the arc range ``[lo, hi)``; returns (count, ops)."""
-    s = src[lo:hi]
-    d = og.adjncy[lo:hi]
-    a_cat, a_x = gather_blocks(og.xadj, og.adjncy, s)
-    b_cat, b_x = gather_blocks(og.xadj, og.adjncy, d)
-    res = batch_intersect_count(a_cat, a_x, b_cat, b_x, og.num_vertices)
+    res = csr_intersect_count(
+        og.xadj, og.adjncy, src[lo:hi], og.xadj, og.adjncy, og.adjncy[lo:hi], og.num_vertices
+    )
     return res.total, res.ops
 
 

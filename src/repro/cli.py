@@ -357,12 +357,15 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     for name, status in backends.backend_status().items():
         backend = backends._BACKENDS.get(name)
         fused = "yes" if backend is not None and backend.count_elements else "-"
-        marker = " *" if name == (explicit or "numpy") else ""
+        marker = " *" if name == (explicit or backends.DEFAULT_BACKEND) else ""
         print(f"{name:<10s} {status:<44s} {fused:<6s}{marker}")
     print(f"\nactive: {active.name} (via {via})")
     if explicit and active.name != explicit:
         print(f"  note: {explicit!r} selected but unavailable; warn-once "
               f"fallback to numpy is in effect")
+    elif active.name != (explicit or backends.DEFAULT_BACKEND):
+        print(f"  note: default {backends.DEFAULT_BACKEND!r} unavailable; "
+              f"numpy is in effect")
     return 0
 
 
@@ -390,11 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel-backend",
         default="",
         metavar="NAME",
-        help="intersection kernel backend for this run: numpy (the "
-        "default) or native (see docs/KERNELS.md and 'repro-tc backends').  "
-        "Equivalent to setting REPRO_KERNEL_BACKEND; an unavailable backend "
-        "logs one warning and falls back to numpy.  Simulated costs are "
-        "identical either way.",
+        help="intersection kernel backend for this run: native (the "
+        "default wherever cffi and a C compiler can build it) or numpy "
+        "(see docs/KERNELS.md and 'repro-tc backends').  Equivalent to "
+        "setting REPRO_KERNEL_BACKEND; an unavailable backend logs one "
+        "warning and falls back to numpy.  Simulated costs are identical "
+        "either way.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

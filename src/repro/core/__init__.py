@@ -24,10 +24,14 @@ from .naive_distributed import naive_program
 from .preprocessing import OrientedLocalGraph, build_oriented, exchange_ghost_degrees
 from .intersect import (
     BatchIntersections,
+    CsrBlocks,
     batch_intersect_count,
     batch_intersect_count_elements,
     batch_intersect_elements,
     concat_xadj,
+    csr_intersect_count,
+    csr_intersect_count_elements,
+    csr_intersect_elements,
     gather_blocks,
     intersect_count,
     intersect_sorted,
@@ -90,6 +94,10 @@ __all__ = [
     "batch_intersect_count_elements",
     "batch_intersect_elements",
     "concat_xadj",
+    "CsrBlocks",
+    "csr_intersect_count",
+    "csr_intersect_count_elements",
+    "csr_intersect_elements",
     "gather_blocks",
     "intersect_count",
     "intersect_sorted",

@@ -1,36 +1,39 @@
 """Runtime-selected kernel backends for the batch intersection hot path.
 
-``batch_intersect_count`` / ``batch_intersect_elements`` in
-:mod:`repro.core.intersect` are the compute hot path of every algorithm
-variant.  This module makes their *execution strategy* pluggable while
-keeping their *accounting* fixed:
+``csr_intersect_count`` / ``csr_intersect_elements`` /
+``csr_intersect_count_elements`` in :mod:`repro.core.intersect` are
+the compute hot path of every algorithm variant.  This module makes
+their *execution strategy* pluggable while keeping their *accounting*
+fixed:
 
 * The dispatcher in ``intersect.py`` owns everything observable by the
-  simulation — input validation, dtype coercion, the empty fast path,
-  the small-into-large side swap, and the charged merge-model ops
-  (``|A| + |B|`` per pair).  A backend only supplies the raw kernels
-  that produce counts/elements, so simulated accounting is
-  *structurally* bit-identical across backends (pinned by
-  ``tests/test_equivalence.py``).
-* A backend receives pre-conditioned inputs: contiguous ``int64``
-  arrays, ``k >= 1`` pairs, both concatenations nonempty, and the A
-  side no larger than the B side.  ``count`` returns an ``int64``
-  array of ``k`` per-pair counts; ``elements`` returns
-  ``(pair_idx, elements)`` hit streams in (pair, ascending element)
-  order — the canonical order both shipped backends emit naturally.
+  simulation — int64 coercion, slot alignment and bounds validation,
+  the empty fast path, the small-into-large side swap, and the charged
+  merge-model ops (``|A| + |B|`` per pair, summed from ``xadj``).  A
+  backend only supplies the raw kernels that produce counts/elements,
+  so simulated accounting is *structurally* bit-identical across
+  backends (pinned by ``tests/test_equivalence.py``).
+* A backend receives each side in place as a validated
+  :class:`~repro.core.intersect.CsrBlocks` ``(xadj, adjncy, slots,
+  total)``: pair ``i`` intersects block ``slots[i]`` of side A with
+  block ``slots[i]`` of side B.  The dispatcher guarantees contiguous
+  ``int64`` arrays, ``k >= 1`` aligned slots, every block inside its
+  ``adjncy``, both sides holding at least one element, and
+  ``a.total <= b.total``.  ``count`` returns an ``int64`` array of
+  ``k`` per-pair counts; ``elements`` returns ``(pair_idx, elements)``
+  hit streams in (pair, ascending element) order — the canonical order
+  both shipped backends emit naturally.
 
 Two backends ship:
 
-``numpy`` (default, always available)
-    The offset-keyed global ``searchsorted`` formulation, the portable
-    fallback.
-``native``
+``native`` (the default wherever it builds)
     The cffi/C extension of :mod:`repro.core.native`: the paper's merge
     loops plus a galloping binary-search variant for skewed pairs
-    (Section III-C), compiled on demand at first use and cached.
-    Optional: when cffi or a C compiler is missing the registry logs
-    one warning and falls back to ``numpy`` — selection never raises
-    for a *known* backend.
+    (Section III-C), reading the blocks in place.  Compiled on demand
+    at first use and cached; needs cffi and a C compiler.
+``numpy`` (always available)
+    The portable fallback: gathers the blocks into concat buffers and
+    runs one offset-keyed global ``searchsorted``.
 
 Selection (first match wins):
 
@@ -38,7 +41,12 @@ Selection (first match wins):
 2. the ``REPRO_KERNEL_BACKEND`` environment variable (which is how the
    ``repro-tc --kernel-backend`` CLI flag and ``ProcessMachine``
    workers propagate the choice),
-3. the ``numpy`` default.
+3. ``native``, then ``numpy`` if ``native`` cannot load.
+
+A known backend that cannot load never fails a run: it degrades to
+``numpy``.  When ``native`` is only the default, that fallback is
+logged at DEBUG level; a backend selected through (1) or (2) logs one
+WARNING per process tree instead.  Unknown names raise ``KeyError``.
 
 Registering another backend is two calls — see ``docs/KERNELS.md`` for
 a worked example and the exact kernel contract.
@@ -54,11 +62,7 @@ from typing import Callable
 
 import numpy as np
 
-from .intersect import (
-    _numpy_batch_count,
-    _numpy_batch_count_elements,
-    _numpy_batch_elements,
-)
+from .intersect import _numpy_count, _numpy_count_elements, _numpy_elements
 
 __all__ = [
     "KernelBackend",
@@ -69,6 +73,7 @@ __all__ = [
     "resolve_backend",
     "set_backend",
     "use_backend",
+    "DEFAULT_BACKEND",
     "ENV_BACKEND",
     "ENV_FALLBACK_WARNED",
 ]
@@ -77,6 +82,9 @@ log = logging.getLogger("repro.kernels")
 
 #: Environment variable naming the preferred backend.
 ENV_BACKEND = "REPRO_KERNEL_BACKEND"
+
+#: Backend used when none is selected; ``numpy`` if it cannot load.
+DEFAULT_BACKEND = "native"
 
 #: Comma-separated backend names whose fallback warning was already
 #: emitted by this process tree.  Set when the warning fires, inherited
@@ -87,10 +95,11 @@ ENV_FALLBACK_WARNED = "REPRO_KERNEL_FALLBACK_WARNED"
 
 @dataclass(frozen=True)
 class KernelBackend:
-    """A raw kernel pair behind the ``batch_intersect_*`` dispatcher.
+    """The raw kernels behind the ``csr_intersect_*`` dispatchers.
 
-    ``count(a_concat, a_xadj, b_concat, b_xadj, vertex_bound)`` returns
-    per-pair intersection counts; ``elements(...)`` returns the
+    ``count(a, b, vertex_bound)``, with ``a`` and ``b`` the validated
+    :class:`~repro.core.intersect.CsrBlocks` sides, returns per-pair
+    intersection counts; ``elements(...)`` returns the
     ``(pair_idx, elements)`` hit streams.  ``count_elements(...)`` —
     optional — returns ``(counts, pair_idx, elements)`` from one fused
     traversal; when a backend leaves it ``None`` the dispatcher derives
@@ -111,7 +120,7 @@ _LOADERS: dict[str, Callable[[], KernelBackend]] = {}
 _BACKENDS: dict[str, KernelBackend] = {}
 #: Explicit in-process selection (overrides the environment).
 _ACTIVE: str | None = None
-#: Backends whose load already failed (warn once each).
+#: Backends whose load already failed, with the reason; not retried.
 _FAILED: dict[str, str] = {}
 
 
@@ -119,8 +128,7 @@ def register_backend(name: str, loader: Callable[[], KernelBackend]) -> None:
     """Register a backend under ``name``.
 
     ``loader`` is called lazily on first selection and may raise
-    ``ImportError`` — the registry then logs a warning and the
-    dispatcher falls back to ``numpy``.
+    ``ImportError`` — the dispatcher then falls back to ``numpy``.
     """
     _LOADERS[name] = loader
 
@@ -149,7 +157,14 @@ def _load(name: str) -> KernelBackend:
         raise KeyError(
             f"unknown kernel backend {name!r}; registered: {available_backends()}"
         )
-    backend = _LOADERS[name]()
+    if name in _FAILED:
+        # A failed build is not retried on every dispatch.
+        raise ImportError(_FAILED[name])
+    try:
+        backend = _LOADERS[name]()
+    except ImportError as exc:
+        _FAILED[name] = str(exc)
+        raise
     _BACKENDS[name] = backend
     return backend
 
@@ -178,25 +193,28 @@ def resolve_backend(name: str | None = None) -> KernelBackend:
     """Resolve ``name`` (or the current selection) to a loaded backend.
 
     Unknown names raise ``KeyError``.  Known-but-unloadable backends
-    (e.g. ``native`` without a C compiler) log one warning and degrade
-    to ``numpy`` — runs never fail because an accelerator is missing.
+    (e.g. ``native`` without a C compiler) degrade to ``numpy`` — runs
+    never fail because an accelerator is missing.  A selected backend
+    warns once per process tree; the unselected default logs at DEBUG.
     """
-    if name is None:
-        name = _ACTIVE or os.environ.get(ENV_BACKEND, "").strip() or "numpy"
+    selected = name or _ACTIVE or os.environ.get(ENV_BACKEND, "").strip()
+    name = selected or DEFAULT_BACKEND
+    first_failure = name not in _FAILED
     try:
         return _load(name)
-    except KeyError:
-        raise
     except ImportError as exc:
-        if name not in _FAILED:
-            _FAILED[name] = str(exc)
-            if not _fallback_warned(name):
-                log.warning(
-                    "kernel backend %r unavailable (%s); falling back to numpy",
-                    name,
-                    exc,
+        if not selected:
+            if first_failure:
+                log.debug(
+                    "default kernel backend %r unavailable (%s); using numpy", name, exc
                 )
-                _mark_fallback_warned(name)
+        elif not _fallback_warned(name):
+            log.warning(
+                "kernel backend %r unavailable (%s); falling back to numpy",
+                name,
+                exc,
+            )
+            _mark_fallback_warned(name)
         return _load("numpy")
 
 
@@ -235,12 +253,7 @@ def use_backend(name: str | None):
 
 
 def _load_numpy() -> KernelBackend:
-    return KernelBackend(
-        "numpy",
-        _numpy_batch_count,
-        _numpy_batch_elements,
-        _numpy_batch_count_elements,
-    )
+    return KernelBackend("numpy", _numpy_count, _numpy_elements, _numpy_count_elements)
 
 
 register_backend("numpy", _load_numpy)
@@ -253,7 +266,7 @@ register_backend("numpy", _load_numpy)
 
 def _load_native() -> KernelBackend:
     # Builds the extension at first use; any failure (no cffi wheel,
-    # no compiler) surfaces as ImportError -> logged numpy fallback.
+    # no compiler) surfaces as ImportError -> numpy fallback.
     from .native import load_native_kernels
 
     count, elements, count_elements = load_native_kernels()

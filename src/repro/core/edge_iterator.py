@@ -3,7 +3,7 @@
 Three interchangeable counters:
 
 * :func:`edge_iterator` — the paper's Algorithm 1, vectorized across
-  all oriented arcs with the batch intersection kernel.  Also reports
+  all oriented arcs with the in-place CSR batch intersection kernel.  Also reports
   the comparison count charged in the merge cost model.
 * :func:`edge_iterator_per_vertex` — same traversal but returning the
   per-vertex triangle counts Δ(v) needed for local clustering
@@ -21,10 +21,9 @@ import numpy as np
 
 from ..graphs.csr import CSRGraph
 from .intersect import (
-    batch_intersect_count,
-    batch_intersect_count_elements,
-    batch_intersect_elements,
-    gather_blocks,
+    csr_intersect_count,
+    csr_intersect_count_elements,
+    csr_intersect_elements,
 )
 from .orientation import orient_by_degree
 
@@ -69,9 +68,7 @@ def edge_iterator(graph: CSRGraph) -> SequentialResult:
     src = np.repeat(og.vertices(), og.degrees)
     dst = og.adjncy
     # A side: N^+(dst); B side: N^+(src) — order irrelevant for counts.
-    a_concat, a_xadj = gather_blocks(og.xadj, og.adjncy, dst)
-    b_concat, b_xadj = gather_blocks(og.xadj, og.adjncy, src)
-    res = batch_intersect_count(a_concat, a_xadj, b_concat, b_xadj, og.num_vertices)
+    res = csr_intersect_count(og.xadj, og.adjncy, dst, og.xadj, og.adjncy, src, og.num_vertices)
     return SequentialResult(triangles=res.total, intersection_ops=res.ops)
 
 
@@ -85,10 +82,8 @@ def edge_iterator_per_vertex(graph: CSRGraph) -> tuple[np.ndarray, SequentialRes
     og = _oriented(graph)
     src = np.repeat(og.vertices(), og.degrees)
     dst = og.adjncy
-    a_concat, a_xadj = gather_blocks(og.xadj, og.adjncy, dst)
-    b_concat, b_xadj = gather_blocks(og.xadj, og.adjncy, src)
-    counts, _, closing, ops = batch_intersect_count_elements(
-        a_concat, a_xadj, b_concat, b_xadj, og.num_vertices
+    counts, _, closing, ops = csr_intersect_count_elements(
+        og.xadj, og.adjncy, dst, og.xadj, og.adjncy, src, og.num_vertices
     )
     n = og.num_vertices
     delta = np.zeros(n, dtype=np.int64)
@@ -110,10 +105,8 @@ def triangle_edges(graph: CSRGraph) -> np.ndarray:
     og = _oriented(graph)
     src = np.repeat(og.vertices(), og.degrees)
     dst = og.adjncy
-    a_concat, a_xadj = gather_blocks(og.xadj, og.adjncy, dst)
-    b_concat, b_xadj = gather_blocks(og.xadj, og.adjncy, src)
-    pair_idx, closing, _ = batch_intersect_elements(
-        a_concat, a_xadj, b_concat, b_xadj, og.num_vertices
+    pair_idx, closing, _ = csr_intersect_elements(
+        og.xadj, og.adjncy, dst, og.xadj, og.adjncy, src, og.num_vertices
     )
     tri = np.column_stack([src[pair_idx], dst[pair_idx], closing])
     tri.sort(axis=1)

@@ -6,32 +6,39 @@ merge-based intersection of COMPACT-FORWARD and charges each
 intersection ``|a| + |b|`` comparisons; GPU codes use binary-search
 (``searchsorted``) variants instead (Section III-C).
 
-Per the HPC-Python guides, hot paths must not loop per edge in Python.
-The batch kernels here vectorize *across pairs*: all needle arrays are
-concatenated, offset-keyed so each pair's haystack occupies a disjoint
-key range, and one global :func:`numpy.searchsorted` resolves every
-membership test at once.  Work is *accounted* in the merge model
-(``|a| + |b|`` per pair), independent of how the kernel executes it, so
-the simulated cost model matches the paper's analysis rather than
-Python's constant factors.
+The batch kernels read each side in place, as a CSR plus a slot array
+``(xadj, adjncy, slots)``: pair ``i`` intersects block ``slots[i]`` of
+the A side, ``adjncy[xadj[s]:xadj[s + 1]]``, with block ``slots[i]`` of
+the B side — like the paper's kernels, which run on the adjacency
+arrays without copying neighborhoods first.  Work is *accounted* in the
+merge model (``|a| + |b|`` per pair), independent of how the kernel
+executes it, so the simulated cost model matches the paper's analysis
+rather than Python's constant factors.
 
-``batch_intersect_count`` / ``batch_intersect_elements`` /
-``batch_intersect_count_elements`` are *dispatchers*: they own
-validation, the ops accounting, the empty fast path and the
-small-into-large side swap, then hand the pre-conditioned arrays to
-the kernel backend selected via :mod:`repro.core.backends` (``numpy``
-by default; ``REPRO_KERNEL_BACKEND=native`` or
-``repro-tc --kernel-backend native`` selects the compiled C merge and
-galloping kernels when a compiler is available).  The fused variant returns per-pair counts *and* the hit streams from one
-backend traversal — the shape the enumeration/LCC paths consume.
-Because everything the cost model sees is computed *before* the
-backend runs, simulated accounting is identical for every backend by
-construction — see ``docs/KERNELS.md``.
+``csr_intersect_count`` / ``csr_intersect_elements`` /
+``csr_intersect_count_elements`` are *dispatchers*: they own int64
+coercion, slot alignment and bounds validation, the ops accounting,
+the empty fast path and the small-into-large side swap, then hand the
+validated sides to the kernel backend selected via
+:mod:`repro.core.backends`: the compiled C merge and galloping kernels
+of ``native`` wherever they build, else ``numpy``, which gathers the
+blocks (:func:`gather_blocks`) and resolves every membership test of
+the batch with one offset-keyed ``searchsorted``.  The fused variant
+returns per-pair counts *and* the hit streams from one backend
+traversal — the shape the enumeration/LCC paths consume.  Because
+everything the cost model sees is computed *before* the backend runs,
+simulated accounting is identical for every backend by construction —
+see ``docs/KERNELS.md``.
+
+The concat-form ``batch_intersect_*`` functions, for blocks already
+gathered into one buffer, are wrappers over the CSR form with
+``slots = arange(k)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +47,10 @@ __all__ = [
     "intersect_sorted",
     "merge_cost",
     "BatchIntersections",
+    "CsrBlocks",
+    "csr_intersect_count",
+    "csr_intersect_elements",
+    "csr_intersect_count_elements",
     "batch_intersect_count",
     "batch_intersect_elements",
     "batch_intersect_count_elements",
@@ -53,8 +64,8 @@ def gather_blocks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gather CSR blocks ``adjncy[xadj[i]:xadj[i+1]]`` for many ``i`` at once.
 
-    Returns ``(concat, out_xadj)`` in the batch layout the intersection
-    kernels expect — the vectorized equivalent of looping
+    Returns ``(concat, out_xadj)``, the concat layout of a record
+    frame — the vectorized equivalent of looping
     ``[adjncy[xadj[i]:xadj[i+1]] for i in block_ids]``.
     """
     xadj = np.asarray(xadj, dtype=np.int64)
@@ -134,172 +145,159 @@ class BatchIntersections:
         return int(self.counts.sum())
 
 
-def _keyed(concat: np.ndarray, xadj: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Offset-key a concatenation so block ``i`` lives in its own range."""
-    k = xadj.size - 1
-    pair_of = np.repeat(np.arange(k, dtype=np.int64), np.diff(xadj))
-    return concat + pair_of * np.int64(bound), pair_of
+class CsrBlocks(NamedTuple):
+    """One validated side of a batch: pair ``i`` reads block ``slots[i]``.
 
-
-def _numpy_batch_count(
-    a_concat: np.ndarray,
-    a_xadj: np.ndarray,
-    b_concat: np.ndarray,
-    b_xadj: np.ndarray,
-    vertex_bound: int,
-) -> np.ndarray:
-    """Raw numpy count kernel (dispatcher preconditions apply).
-
-    The keyed concatenation of the B side is globally sorted because
-    every block is sorted and blocks occupy increasing key ranges, so a
-    single ``searchsorted`` answers all membership queries.
+    ``xadj``, ``adjncy`` and ``slots`` are C-contiguous ``int64``;
+    every block ``adjncy[xadj[s]:xadj[s + 1]]`` named by a slot lies
+    inside ``adjncy``.  ``total`` is the sum of those block sizes.
     """
-    k = a_xadj.size - 1
-    keyed_a, pair_a = _keyed(a_concat, a_xadj, vertex_bound)
-    keyed_b, _ = _keyed(b_concat, b_xadj, vertex_bound)
-    idx = np.searchsorted(keyed_b, keyed_a)
-    idx_clipped = np.minimum(idx, keyed_b.size - 1)
-    hit = (idx < keyed_b.size) & (keyed_b[idx_clipped] == keyed_a)
-    return np.bincount(pair_a[hit], minlength=k).astype(np.int64)
+
+    xadj: np.ndarray
+    adjncy: np.ndarray
+    slots: np.ndarray
+    total: int
 
 
-def _numpy_batch_elements(
-    a_concat: np.ndarray,
-    a_xadj: np.ndarray,
-    b_concat: np.ndarray,
-    b_xadj: np.ndarray,
-    vertex_bound: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw numpy elements kernel (dispatcher preconditions apply)."""
-    keyed_a, pair_a = _keyed(a_concat, a_xadj, vertex_bound)
-    keyed_b, _ = _keyed(b_concat, b_xadj, vertex_bound)
-    idx = np.searchsorted(keyed_b, keyed_a)
-    idx_clipped = np.minimum(idx, keyed_b.size - 1)
-    hit = (idx < keyed_b.size) & (keyed_b[idx_clipped] == keyed_a)
-    return pair_a[hit], a_concat[hit]
+def _csr_side(name: str, xadj, adjncy, slots) -> CsrBlocks:
+    """Coerce and bounds-check one side; raises ``ValueError`` if bad.
+
+    After this, a kernel indexing ``adjncy`` through ``xadj[slots]``
+    and ``xadj[slots + 1]`` cannot read outside the arrays.
+    """
+    xadj = np.ascontiguousarray(xadj, dtype=np.int64)
+    adjncy = np.ascontiguousarray(adjncy, dtype=np.int64)
+    slots = np.ascontiguousarray(slots, dtype=np.int64)
+    if xadj.ndim != 1 or adjncy.ndim != 1 or slots.ndim != 1 or xadj.size == 0:
+        raise ValueError(f"{name} side: xadj, adjncy and slots must be 1-D, xadj nonempty")
+    if xadj[-1] > adjncy.size:
+        raise ValueError(
+            f"{name} side: xadj[-1] = {int(xadj[-1])} exceeds adjncy.size = {adjncy.size}"
+        )
+    if slots.size == 0:
+        return CsrBlocks(xadj, adjncy, slots, 0)
+    if slots.min() < 0 or slots.max() >= xadj.size - 1:
+        raise ValueError(f"{name} side: slots must lie in [0, {xadj.size - 1})")
+    starts = xadj[slots]
+    ends = xadj[slots + 1]
+    sizes = ends - starts
+    if starts.min() < 0 or sizes.min() < 0 or ends.max() > adjncy.size:
+        raise ValueError(f"{name} side: a slot's block lies outside adjncy")
+    return CsrBlocks(xadj, adjncy, slots, int(sizes.sum()))
 
 
-def _numpy_batch_count_elements(
-    a_concat: np.ndarray,
-    a_xadj: np.ndarray,
-    b_concat: np.ndarray,
-    b_xadj: np.ndarray,
-    vertex_bound: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw numpy fused kernel: one keyed search feeds both outputs."""
-    k = a_xadj.size - 1
-    keyed_a, pair_a = _keyed(a_concat, a_xadj, vertex_bound)
-    keyed_b, _ = _keyed(b_concat, b_xadj, vertex_bound)
-    idx = np.searchsorted(keyed_b, keyed_a)
-    idx_clipped = np.minimum(idx, keyed_b.size - 1)
-    hit = (idx < keyed_b.size) & (keyed_b[idx_clipped] == keyed_a)
-    pair_idx = pair_a[hit]
-    counts = np.bincount(pair_idx, minlength=k).astype(np.int64)
-    return counts, pair_idx, a_concat[hit]
+def _csr_sides(
+    a_xadj, a_adjncy, a_slots, b_xadj, b_adjncy, b_slots
+) -> tuple[CsrBlocks, CsrBlocks, int, bool]:
+    """Validate both sides; returns ``(a, b, ops, empty)``.
+
+    ``a`` is the side with fewer elements; ``empty`` says the batch has
+    no pairs or a side with no elements, so no backend needs to run.
+
+    The swap searches the smaller side in the bigger one (the scalar
+    kernels' small-into-large rule, chosen per batch by total size).
+    It is output-identical: hits are the common values, counted per
+    pair and emitted in (pair, element) order, whichever side is
+    searched, because blocks are sorted unique; the charged ops stay
+    the symmetric merge cost.
+    """
+    a = _csr_side("A", a_xadj, a_adjncy, a_slots)
+    b = _csr_side("B", b_xadj, b_adjncy, b_slots)
+    if a.slots.size != b.slots.size:
+        raise ValueError("A and B sides must have the same pair count")
+    ops = merge_cost(a.total, b.total)
+    empty = a.slots.size == 0 or a.total == 0 or b.total == 0
+    if a.total > b.total:
+        a, b = b, a
+    return a, b, ops, empty
 
 
 def _active_backend():
-    # Imported lazily: backends.py pulls the raw numpy kernels from
-    # this module at import time, so the dependency must point one way
-    # at module load.
+    # Imported lazily: backends.py pulls the numpy kernels from this
+    # module at import time, so the dependency must point one way at
+    # module load.
     from .backends import get_backend
 
     return get_backend()
 
 
-def batch_intersect_count(
-    a_concat: np.ndarray,
+def csr_intersect_count(
     a_xadj: np.ndarray,
-    b_concat: np.ndarray,
+    a_adjncy: np.ndarray,
+    a_slots: np.ndarray,
     b_xadj: np.ndarray,
+    b_adjncy: np.ndarray,
+    b_slots: np.ndarray,
     vertex_bound: int,
 ) -> BatchIntersections:
-    """Count ``|A_i ∩ B_i|`` for many pairs of sorted unique blocks at once.
+    """Count ``|A_i ∩ B_i|`` for many pairs of CSR blocks, in place.
 
     Parameters
     ----------
-    a_concat, a_xadj:
-        Concatenated A-side blocks and their offsets (``k + 1`` entries
-        for ``k`` pairs); each block sorted ascending, values in
-        ``[0, vertex_bound)``.
-    b_concat, b_xadj:
-        Same for the B side; must describe the same number of pairs.
+    a_xadj, a_adjncy, a_slots:
+        The A-side CSR and, per pair, the block it reads:
+        ``a_adjncy[a_xadj[s]:a_xadj[s + 1]]`` for ``s = a_slots[i]``.
+        Each block is sorted ascending, values in ``[0, vertex_bound)``.
+        Slots may repeat and need not be sorted.
+    b_xadj, b_adjncy, b_slots:
+        Same for the B side; ``b_slots`` must align with ``a_slots``.
     vertex_bound:
         Exclusive upper bound on element values (usually ``n``); used
-        for the offset keying.
+        by the numpy backend's offset keying.
+
+    Raises
+    ------
+    ValueError
+        Misaligned slot arrays, a slot outside ``[0, len(xadj) - 1)``,
+        ``xadj[-1] > adjncy.size`` or a slot's block outside ``adjncy``.
 
     Notes
     -----
-    Validation, the ops accounting, the empty fast path and the side
-    swap happen here; only the final counts come from the selected
-    kernel backend, so the simulated cost is backend-independent.
+    Validation, the ops accounting (block sizes summed from ``xadj``),
+    the empty fast path and the side swap happen here; only the final
+    counts come from the selected kernel backend, so the simulated
+    cost is backend-independent.
     """
-    a_concat = np.ascontiguousarray(a_concat, dtype=np.int64)
-    b_concat = np.ascontiguousarray(b_concat, dtype=np.int64)
-    a_xadj = np.ascontiguousarray(a_xadj, dtype=np.int64)
-    b_xadj = np.ascontiguousarray(b_xadj, dtype=np.int64)
-    if a_xadj.size != b_xadj.size:
-        raise ValueError("A and B sides must have the same pair count")
-    k = a_xadj.size - 1
-    ops = merge_cost(a_concat.size, b_concat.size)
-    if k == 0 or a_concat.size == 0 or b_concat.size == 0:
-        return BatchIntersections(np.zeros(k, dtype=np.int64), ops)
-    if a_concat.size > b_concat.size:
-        # Search the smaller concatenation in the bigger one (the
-        # scalar kernels' small-into-large rule, chosen per chunk by
-        # total size).  Output-identical: hits are the common keyed
-        # values, counted per pair, whichever side is searched; the
-        # charged ops stay the symmetric merge cost.
-        a_concat, b_concat = b_concat, a_concat
-        a_xadj, b_xadj = b_xadj, a_xadj
-    counts = _active_backend().count(a_concat, a_xadj, b_concat, b_xadj, vertex_bound)
-    return BatchIntersections(counts, ops)
+    a, b, ops, empty = _csr_sides(a_xadj, a_adjncy, a_slots, b_xadj, b_adjncy, b_slots)
+    if empty:
+        return BatchIntersections(np.zeros(a.slots.size, dtype=np.int64), ops)
+    return BatchIntersections(_active_backend().count(a, b, vertex_bound), ops)
 
 
-def batch_intersect_elements(
-    a_concat: np.ndarray,
+def csr_intersect_elements(
     a_xadj: np.ndarray,
-    b_concat: np.ndarray,
+    a_adjncy: np.ndarray,
+    a_slots: np.ndarray,
     b_xadj: np.ndarray,
+    b_adjncy: np.ndarray,
+    b_slots: np.ndarray,
     vertex_bound: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Like :func:`batch_intersect_count` but return the hits themselves.
+    """Like :func:`csr_intersect_count` but return the hits themselves.
 
     Returns
     -------
     (pair_idx, elements, ops):
         For every common element ``w`` of pair ``i``, one entry with
-        ``pair_idx == i`` and ``elements == w``.  Needed by triangle
-        *enumeration* and the per-vertex Δ counters of the LCC
-        extension, where the identity of the closing vertex matters.
+        ``pair_idx == i`` and ``elements == w``, in (pair, ascending
+        element) order.  Needed by triangle *enumeration* and the
+        per-vertex Δ counters of the LCC extension, where the identity
+        of the closing vertex matters.
     """
-    a_concat = np.ascontiguousarray(a_concat, dtype=np.int64)
-    b_concat = np.ascontiguousarray(b_concat, dtype=np.int64)
-    a_xadj = np.ascontiguousarray(a_xadj, dtype=np.int64)
-    b_xadj = np.ascontiguousarray(b_xadj, dtype=np.int64)
-    if a_xadj.size != b_xadj.size:
-        raise ValueError("A and B sides must have the same pair count")
-    ops = merge_cost(a_concat.size, b_concat.size)
-    if a_xadj.size - 1 == 0 or a_concat.size == 0 or b_concat.size == 0:
+    a, b, ops, empty = _csr_sides(a_xadj, a_adjncy, a_slots, b_xadj, b_adjncy, b_slots)
+    if empty:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), ops
-    if a_concat.size > b_concat.size:
-        # Small-into-large, as in batch_intersect_count.  The returned
-        # (pair_idx, elements) stream is identical either way: blocks
-        # are sorted unique, so hits emerge in (pair, element) order
-        # from whichever side is searched.
-        a_concat, b_concat = b_concat, a_concat
-        a_xadj, b_xadj = b_xadj, a_xadj
-    pair_idx, elements = _active_backend().elements(
-        a_concat, a_xadj, b_concat, b_xadj, vertex_bound
-    )
+    pair_idx, elements = _active_backend().elements(a, b, vertex_bound)
     return pair_idx, elements, ops
 
 
-def batch_intersect_count_elements(
-    a_concat: np.ndarray,
+def csr_intersect_count_elements(
     a_xadj: np.ndarray,
-    b_concat: np.ndarray,
+    a_adjncy: np.ndarray,
+    a_slots: np.ndarray,
     b_xadj: np.ndarray,
+    b_adjncy: np.ndarray,
+    b_slots: np.ndarray,
     vertex_bound: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Fused counts + hits for many pairs in one backend traversal.
@@ -309,45 +307,123 @@ def batch_intersect_count_elements(
     (counts, pair_idx, elements, ops):
         ``counts[i] = |A_i ∩ B_i|`` per pair **and** the
         ``(pair_idx, elements)`` hit streams of
-        :func:`batch_intersect_elements`, consistent by construction
+        :func:`csr_intersect_elements`, consistent by construction
         (``counts == bincount(pair_idx, minlength=k)``).  Used by the
         enumeration / LCC / per-vertex-Δ paths, which need the closing
         vertices *and* per-pair multiplicities: one fused call replaces
-        a count pass plus an elements pass (or deriving one output from
-        the other with an extra traversal of the hit stream).
+        a count pass plus an elements pass.
 
     Notes
     -----
-    Validation, ops accounting, the empty fast path and the side swap
-    live here, exactly as in the unfused dispatchers, so simulated
-    accounting stays bit-identical across backends by construction.
     Backends without a fused kernel (``count_elements is None``) run
     their elements kernel and the dispatcher derives the counts.
     """
-    a_concat = np.ascontiguousarray(a_concat, dtype=np.int64)
-    b_concat = np.ascontiguousarray(b_concat, dtype=np.int64)
-    a_xadj = np.ascontiguousarray(a_xadj, dtype=np.int64)
-    b_xadj = np.ascontiguousarray(b_xadj, dtype=np.int64)
-    if a_xadj.size != b_xadj.size:
-        raise ValueError("A and B sides must have the same pair count")
-    k = a_xadj.size - 1
-    ops = merge_cost(a_concat.size, b_concat.size)
-    if k == 0 or a_concat.size == 0 or b_concat.size == 0:
+    a, b, ops, empty = _csr_sides(a_xadj, a_adjncy, a_slots, b_xadj, b_adjncy, b_slots)
+    k = a.slots.size
+    if empty:
         e = np.empty(0, dtype=np.int64)
         return np.zeros(k, dtype=np.int64), e, e.copy(), ops
-    if a_concat.size > b_concat.size:
-        # Small-into-large, as in the unfused dispatchers; outputs are
-        # side-invariant because blocks are sorted unique.
-        a_concat, b_concat = b_concat, a_concat
-        a_xadj, b_xadj = b_xadj, a_xadj
     backend = _active_backend()
     if backend.count_elements is not None:
-        counts, pair_idx, elements = backend.count_elements(
-            a_concat, a_xadj, b_concat, b_xadj, vertex_bound
-        )
+        counts, pair_idx, elements = backend.count_elements(a, b, vertex_bound)
     else:
-        pair_idx, elements = backend.elements(
-            a_concat, a_xadj, b_concat, b_xadj, vertex_bound
-        )
+        pair_idx, elements = backend.elements(a, b, vertex_bound)
         counts = np.bincount(pair_idx, minlength=k).astype(np.int64)
     return counts, pair_idx, elements, ops
+
+
+def _every_block(xadj: np.ndarray) -> np.ndarray:
+    """Slots ``0 .. k-1`` of a concat layout with ``k + 1`` offsets."""
+    return np.arange(len(xadj) - 1, dtype=np.int64)
+
+
+def batch_intersect_count(
+    a_concat: np.ndarray,
+    a_xadj: np.ndarray,
+    b_concat: np.ndarray,
+    b_xadj: np.ndarray,
+    vertex_bound: int,
+) -> BatchIntersections:
+    """Concat form of :func:`csr_intersect_count`: pair ``i`` intersects
+    block ``i`` of ``a_concat`` with block ``i`` of ``b_concat``."""
+    return csr_intersect_count(
+        a_xadj, a_concat, _every_block(a_xadj), b_xadj, b_concat, _every_block(b_xadj),
+        vertex_bound,
+    )
+
+
+def batch_intersect_elements(
+    a_concat: np.ndarray,
+    a_xadj: np.ndarray,
+    b_concat: np.ndarray,
+    b_xadj: np.ndarray,
+    vertex_bound: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Concat form of :func:`csr_intersect_elements`."""
+    return csr_intersect_elements(
+        a_xadj, a_concat, _every_block(a_xadj), b_xadj, b_concat, _every_block(b_xadj),
+        vertex_bound,
+    )
+
+
+def batch_intersect_count_elements(
+    a_concat: np.ndarray,
+    a_xadj: np.ndarray,
+    b_concat: np.ndarray,
+    b_xadj: np.ndarray,
+    vertex_bound: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Concat form of :func:`csr_intersect_count_elements`."""
+    return csr_intersect_count_elements(
+        a_xadj, a_concat, _every_block(a_xadj), b_xadj, b_concat, _every_block(b_xadj),
+        vertex_bound,
+    )
+
+
+# ---------------------------------------------------------------------------
+# numpy backend kernels (dispatcher preconditions apply)
+# ---------------------------------------------------------------------------
+
+
+def _numpy_search(
+    a: CsrBlocks, b: CsrBlocks, vertex_bound: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather both sides and resolve every membership test at once.
+
+    Each block is offset-keyed into its own range ``[i * bound, (i + 1)
+    * bound)``.  The keyed B concatenation is then globally sorted —
+    every block is sorted and blocks occupy increasing key ranges — so
+    one ``searchsorted`` answers all of A's probes.  Returns the
+    gathered A side as ``(pair_of_entry, a_concat)`` and the hit mask
+    over it; masking both gives the hits in (pair, element) order.
+    """
+    a_concat, a_xadj = gather_blocks(a.xadj, a.adjncy, a.slots)
+    b_concat, b_xadj = gather_blocks(b.xadj, b.adjncy, b.slots)
+    pairs = np.arange(a.slots.size, dtype=np.int64)
+    pair_a = np.repeat(pairs, np.diff(a_xadj))
+    keyed_a = a_concat + pair_a * np.int64(vertex_bound)
+    keyed_b = b_concat + np.repeat(pairs, np.diff(b_xadj)) * np.int64(vertex_bound)
+    idx = np.searchsorted(keyed_b, keyed_a)
+    idx_clipped = np.minimum(idx, keyed_b.size - 1)
+    hit = (idx < keyed_b.size) & (keyed_b[idx_clipped] == keyed_a)
+    return pair_a, a_concat, hit
+
+
+def _numpy_count(a: CsrBlocks, b: CsrBlocks, vertex_bound: int) -> np.ndarray:
+    pair_a, _, hit = _numpy_search(a, b, vertex_bound)
+    return np.bincount(pair_a[hit], minlength=a.slots.size).astype(np.int64)
+
+
+def _numpy_elements(
+    a: CsrBlocks, b: CsrBlocks, vertex_bound: int
+) -> tuple[np.ndarray, np.ndarray]:
+    pair_a, a_concat, hit = _numpy_search(a, b, vertex_bound)
+    return pair_a[hit], a_concat[hit]
+
+
+def _numpy_count_elements(
+    a: CsrBlocks, b: CsrBlocks, vertex_bound: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    pair_idx, elements = _numpy_elements(a, b, vertex_bound)
+    counts = np.bincount(pair_idx, minlength=a.slots.size).astype(np.int64)
+    return counts, pair_idx, elements

@@ -10,11 +10,14 @@ Received record batches arrive as a
 batch kernels consume — so the receiver side runs without any
 per-record Python iteration.
 
-The ``batch_intersect_*`` calls dispatch to the kernel backend selected
-via :mod:`repro.core.backends` (``REPRO_KERNEL_BACKEND`` /
-``repro-tc --kernel-backend``): ``numpy`` by default, or the compiled
-C kernels of the ``native`` backend.  The charged ops are computed by
-the dispatcher before any backend runs, so everything in this module is
+The ``csr_intersect_*`` dispatchers read both sides of every pair in
+place — the local CSR and the received frame's record CSR, indexed
+through slot arrays — so nothing here copies a neighborhood before it
+is intersected.  They run the kernel backend selected via
+:mod:`repro.core.backends` (``REPRO_KERNEL_BACKEND`` /
+``repro-tc --kernel-backend``): the compiled C kernels of ``native``
+by default, or ``numpy``.  The charged ops are computed by the
+dispatcher before any backend runs, so everything in this module is
 backend-agnostic — see ``docs/KERNELS.md``.
 """
 
@@ -26,10 +29,13 @@ import numpy as np
 
 from ..net.frames import RecordFrame
 from ..net.machine import PEContext
-from .intersect import (
+# ``batch_intersect_count`` is unused here but stays importable as
+# ``repro.core.kernels.batch_intersect_count``: perfbench's test of its
+# layer timer checks that this ``from``-imported binding is rebound.
+from .intersect import (  # noqa: F401
     batch_intersect_count,
-    batch_intersect_count_elements,
-    gather_blocks,
+    csr_intersect_count,
+    csr_intersect_count_elements,
 )
 
 __all__ = [
@@ -68,9 +74,9 @@ def count_csr_pairs(
         raise ValueError("slot arrays must align")
     total = 0
     for sl in chunked(left_slots.size):
-        lcat, lx = gather_blocks(left_xadj, left_adj, left_slots[sl])
-        rcat, rx = gather_blocks(right_xadj, right_adj, right_slots[sl])
-        res = batch_intersect_count(lcat, lx, rcat, rx, bound)
+        res = csr_intersect_count(
+            left_xadj, left_adj, left_slots[sl], right_xadj, right_adj, right_slots[sl], bound
+        )
         ctx.charge(res.ops)
         total += res.total
     return total
@@ -147,9 +153,9 @@ def count_record_pairs(
     total = 0
     for sl in chunked(rec_idx.size):
         # Left side: each pair re-reads its record's full array.
-        lcat, lx = gather_blocks(rxadj, radj, rec_idx[sl])
-        rcat, rx = gather_blocks(local_xadj, local_adj, targets[sl] - vlo)
-        res = batch_intersect_count(lcat, lx, rcat, rx, bound)
+        res = csr_intersect_count(
+            rxadj, radj, rec_idx[sl], local_xadj, local_adj, targets[sl] - vlo, bound
+        )
         ctx.charge(res.ops)
         total += res.total
     return total
@@ -178,9 +184,9 @@ def record_pairs_elements(
     vertices = frame.vertices
     v_out, u_out, w_out = [], [], []
     for sl in chunked(rec_idx.size):
-        lcat, lx = gather_blocks(rxadj, radj, rec_idx[sl])
-        rcat, rx = gather_blocks(local_xadj, local_adj, targets[sl] - vlo)
-        counts, _, closing, ops = batch_intersect_count_elements(lcat, lx, rcat, rx, bound)
+        counts, _, closing, ops = csr_intersect_count_elements(
+            rxadj, radj, rec_idx[sl], local_xadj, local_adj, targets[sl] - vlo, bound
+        )
         ctx.charge(ops)
         # The hit stream is in (pair, element) order, so expanding the
         # per-pair endpoints by the fused counts reproduces the

@@ -29,7 +29,7 @@ from ..net.indirect import GridRouter
 from ..net.machine import PEContext
 from .edge_iterator import edge_iterator_per_vertex
 from .engine import EngineConfig, _post_cut_neighborhoods, _surrogate_filter
-from .intersect import batch_intersect_count_elements, gather_blocks
+from .intersect import csr_intersect_count_elements
 from .kernels import chunked, record_pairs_elements
 from .preprocessing import OrientedLocalGraph, build_oriented, exchange_ghost_degrees
 
@@ -105,10 +105,8 @@ def _triangles_elements_local(
     a_out, b_out, c_out = [], [], []
     for (lx, la, ls, rx, ra, rs), endpoints in zip(groups, v_ids_of_group):
         for sl in chunked(ls.size):
-            lcat, lxa = gather_blocks(lx, la, ls[sl])
-            rcat, rxa = gather_blocks(rx, ra, rs[sl])
-            counts, _, closing, ops = batch_intersect_count_elements(
-                lcat, lxa, rcat, rxa, bound
+            counts, _, closing, ops = csr_intersect_count_elements(
+                lx, la, ls[sl], rx, ra, rs[sl], bound
             )
             ctx.charge(ops)
             # pair_idx is nondecreasing with multiplicity counts[i], so

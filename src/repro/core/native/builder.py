@@ -1,7 +1,9 @@
 """Build-on-demand compilation of the native intersection kernels.
 
 ``kernels.c`` (shipped next to this module) is compiled into a cffi
-API-mode extension the first time the ``native`` backend is selected.
+API-mode extension, by a child interpreter, the first time the
+``native`` backend is resolved — it is the default backend, so usually
+at the first intersection.
 The artifact is cached so every later process — including
 ``ProcessMachine`` workers — just ``dlopen``s it:
 
@@ -16,7 +18,8 @@ The artifact is cached so every later process — including
 * **Failure**: *every* failure mode — no cffi wheel, no C compiler, a
   broken toolchain — is re-raised as ``ImportError``, which is exactly
   what :func:`repro.core.backends.resolve_backend` turns into the
-  warn-once numpy fallback.  Selecting ``native`` never crashes a run.
+  numpy fallback (silent when ``native`` is only the default, warn-once
+  when it was selected).  ``native`` never crashes a run.
 
 Concurrent builders (e.g. spawn-started workers racing the driver) are
 safe: each compiles in a private temp dir and installs the artifact
@@ -28,8 +31,10 @@ from __future__ import annotations
 import hashlib
 import importlib.machinery
 import importlib.util
+import json
 import os
 import shutil
+import subprocess
 import sys
 import sysconfig
 import tempfile
@@ -39,16 +44,18 @@ __all__ = ["build_key", "cache_root", "build_dir", "load_lib", "CDEF"]
 
 #: Declarations mirrored from kernels.c (the cffi cdef).
 CDEF = """
-void repro_batch_count(const int64_t *a_concat, const int64_t *a_xadj,
-                       const int64_t *b_concat, const int64_t *b_xadj,
-                       int64_t k, int64_t *counts);
-int64_t repro_batch_elements(const int64_t *a_concat, const int64_t *a_xadj,
-                             const int64_t *b_concat, const int64_t *b_xadj,
-                             int64_t k, int64_t *pair_out, int64_t *elem_out);
-int64_t repro_batch_count_elements(const int64_t *a_concat, const int64_t *a_xadj,
-                                   const int64_t *b_concat, const int64_t *b_xadj,
-                                   int64_t k, int64_t *counts,
-                                   int64_t *pair_out, int64_t *elem_out);
+void repro_csr_count(const int64_t *a_xadj, const int64_t *a_adj, const int64_t *a_slots,
+                     const int64_t *b_xadj, const int64_t *b_adj, const int64_t *b_slots,
+                     int64_t k, int64_t *counts);
+int64_t repro_csr_elements(const int64_t *a_xadj, const int64_t *a_adj,
+                           const int64_t *a_slots, const int64_t *b_xadj,
+                           const int64_t *b_adj, const int64_t *b_slots,
+                           int64_t k, int64_t *pair_out, int64_t *elem_out);
+int64_t repro_csr_count_elements(const int64_t *a_xadj, const int64_t *a_adj,
+                                 const int64_t *a_slots, const int64_t *b_xadj,
+                                 const int64_t *b_adj, const int64_t *b_slots,
+                                 int64_t k, int64_t *counts,
+                                 int64_t *pair_out, int64_t *elem_out);
 """
 
 ENV_BUILD_DIR = "REPRO_NATIVE_BUILD_DIR"
@@ -109,23 +116,41 @@ def _artifact_path(directory: Path) -> Path:
     return directory / f"{_module_name()}{suffix}"
 
 
-def _compile(directory: Path) -> Path:
-    """Compile kernels.c into ``directory``; returns the artifact path."""
-    from cffi import FFI
+#: Run by a child interpreter: reads ``{name, cdef, source, tmpdir}`` as
+#: JSON on stdin, compiles, prints the built file's path.
+_BUILD_SCRIPT = """\
+import json, sys
+from cffi import FFI
+spec = json.load(sys.stdin)
+ffi = FFI()
+ffi.cdef(spec["cdef"])
+ffi.set_source(spec["name"], spec["source"], extra_compile_args=["-O3"])
+print(ffi.compile(tmpdir=spec["tmpdir"], verbose=False))
+"""
 
-    ffibuilder = FFI()
-    ffibuilder.cdef(CDEF)
-    ffibuilder.set_source(
-        _module_name(),
-        _source(),
-        extra_compile_args=["-O3"],
-    )
+
+def _compile(directory: Path) -> Path:
+    """Compile kernels.c into ``directory``; returns the artifact path.
+
+    The build runs in a child interpreter, so the build tooling it
+    imports (setuptools, about 15 MiB) never joins this process's
+    memory — the first run of a fresh checkout peaks no higher than
+    later ones.
+    """
     directory.mkdir(parents=True, exist_ok=True)
     # Private temp dir + atomic replace: concurrent builders (driver
     # racing spawn-started workers) never see a half-written artifact.
     tmp = Path(tempfile.mkdtemp(prefix="build-", dir=directory))
     try:
-        built = Path(ffibuilder.compile(tmpdir=str(tmp), verbose=False))
+        spec = {"name": _module_name(), "cdef": CDEF, "source": _source(), "tmpdir": str(tmp)}
+        proc = subprocess.run(
+            [sys.executable, "-c", _BUILD_SCRIPT],
+            input=json.dumps(spec), capture_output=True, text=True,
+        )
+        if proc.returncode != 0:
+            lines = proc.stderr.strip().splitlines() or [f"exit status {proc.returncode}"]
+            raise RuntimeError(lines[-1])
+        built = Path(proc.stdout.strip().splitlines()[-1])
         target = _artifact_path(directory)
         os.replace(built, target)
         return target

@@ -1,13 +1,17 @@
 /* Native batch intersection kernels for the repro.core.backends registry.
  *
- * The contract is docs/KERNELS.md: every block concat[xadj[i]:xadj[i+1]]
- * is sorted ascending with unique values, the dispatcher has already
- * swapped sides so the A concatenation is the smaller one, and hit
- * streams must come out in (pair, ascending element) order.  Per pair
- * the kernel picks between the paper's cache-friendly merge loop
- * (Sanders & Uhl, Section III-C) and a galloping binary-search variant
- * for skewed |A_i| << |B_i| (or |B_i| << |A_i|) pairs, where the merge
- * would touch every element of the big side.
+ * The contract is docs/KERNELS.md.  Each side is a CSR (xadj, adj) plus
+ * a slot array; pair i intersects block adj[xadj[s]:xadj[s+1]] with
+ * s = a_slots[i] on the A side and s = b_slots[i] on the B side, read
+ * in place.  The dispatcher has validated every slot and block bound
+ * (no read here leaves the arrays), swapped sides so the A blocks hold
+ * fewer elements in total, and sized the hit outputs by that total.
+ * Blocks are sorted ascending with unique values, and hit streams must
+ * come out in (pair, ascending element) order.  Per pair the kernel
+ * picks between the paper's cache-friendly merge loop (Sanders & Uhl,
+ * Section III-C) and a galloping binary-search variant for skewed
+ * |A_i| << |B_i| (or |B_i| << |A_i|) pairs, where the merge would touch
+ * every element of the big side.
  *
  * Charged ops (|A| + |B| per pair) are accounted by the Python
  * dispatcher before this code runs; nothing here feeds the cost model.
@@ -89,65 +93,67 @@ static i64 pair_intersect(const i64 *a, i64 an, const i64 *b, i64 bn,
             }
         }
     } else {
+        /* Branch-free merge: on balanced pairs the outcome of each
+         * comparison is unpredictable, so both cursors advance by
+         * comparison results instead of branching on them.  The hit
+         * slot `out` is written on every step and kept only on a hit;
+         * it stays within the output capacity (the sum of |A_i|) since
+         * out - start <= ai < an. */
         i64 ai = 0, bi = 0;
         while (ai < an && bi < bn) {
             i64 av = a[ai], bv = b[bi];
-            if (av == bv) {
-                if (pair_out) {
-                    pair_out[out] = pair;
-                    elem_out[out] = av;
-                }
-                out++;
-                ai++;
-                bi++;
-            } else if (av < bv) {
-                ai++;
-            } else {
-                bi++;
+            if (pair_out) {
+                pair_out[out] = pair;
+                elem_out[out] = av;
             }
+            out += av == bv;
+            ai += av <= bv;
+            bi += av >= bv;
         }
     }
     return out - start;
 }
 
+/* Block slots[i] of a CSR side, as a (pointer, length) argument pair. */
+#define BLOCK(xadj, adj, slots, i) \
+    (adj) + (xadj)[(slots)[i]], (xadj)[(slots)[i] + 1] - (xadj)[(slots)[i]]
+
 /* counts[i] = |A_i ∩ B_i| for all k pairs. */
-void repro_batch_count(const i64 *a_concat, const i64 *a_xadj,
-                       const i64 *b_concat, const i64 *b_xadj,
-                       i64 k, i64 *counts)
+void repro_csr_count(const i64 *a_xadj, const i64 *a_adj, const i64 *a_slots,
+                     const i64 *b_xadj, const i64 *b_adj, const i64 *b_slots,
+                     i64 k, i64 *counts)
 {
     i64 i;
     for (i = 0; i < k; i++) {
-        counts[i] = pair_intersect(a_concat + a_xadj[i], a_xadj[i + 1] - a_xadj[i],
-                                   b_concat + b_xadj[i], b_xadj[i + 1] - b_xadj[i],
-                                   i, 0, 0, 0);
+        counts[i] = pair_intersect(BLOCK(a_xadj, a_adj, a_slots, i),
+                                   BLOCK(b_xadj, b_adj, b_slots, i), i, 0, 0, 0);
     }
 }
 
 /* Hit streams in (pair, ascending element) order; returns the total.
- * Output capacity: sum_i min(|A_i|, |B_i|) <= |a_concat| suffices. */
-i64 repro_batch_elements(const i64 *a_concat, const i64 *a_xadj,
-                         const i64 *b_concat, const i64 *b_xadj,
-                         i64 k, i64 *pair_out, i64 *elem_out)
+ * Output capacity: sum_i min(|A_i|, |B_i|) <= sum_i |A_i| suffices. */
+i64 repro_csr_elements(const i64 *a_xadj, const i64 *a_adj, const i64 *a_slots,
+                       const i64 *b_xadj, const i64 *b_adj, const i64 *b_slots,
+                       i64 k, i64 *pair_out, i64 *elem_out)
 {
     i64 i, out = 0;
     for (i = 0; i < k; i++) {
-        out += pair_intersect(a_concat + a_xadj[i], a_xadj[i + 1] - a_xadj[i],
-                              b_concat + b_xadj[i], b_xadj[i + 1] - b_xadj[i],
+        out += pair_intersect(BLOCK(a_xadj, a_adj, a_slots, i),
+                              BLOCK(b_xadj, b_adj, b_slots, i),
                               i, pair_out, elem_out, out);
     }
     return out;
 }
 
-/* Fused pass: per-pair counts and the hit streams from one traversal
- * of the concatenations. */
-i64 repro_batch_count_elements(const i64 *a_concat, const i64 *a_xadj,
-                               const i64 *b_concat, const i64 *b_xadj,
-                               i64 k, i64 *counts, i64 *pair_out, i64 *elem_out)
+/* Fused pass: per-pair counts and the hit streams from one traversal. */
+i64 repro_csr_count_elements(const i64 *a_xadj, const i64 *a_adj, const i64 *a_slots,
+                             const i64 *b_xadj, const i64 *b_adj, const i64 *b_slots,
+                             i64 k, i64 *counts, i64 *pair_out, i64 *elem_out)
 {
     i64 i, out = 0;
     for (i = 0; i < k; i++) {
-        counts[i] = pair_intersect(a_concat + a_xadj[i], a_xadj[i + 1] - a_xadj[i],
-                                   b_concat + b_xadj[i], b_xadj[i + 1] - b_xadj[i],
+        counts[i] = pair_intersect(BLOCK(a_xadj, a_adj, a_slots, i),
+                                   BLOCK(b_xadj, b_adj, b_slots, i),
                                    i, pair_out, elem_out, out);
         out += counts[i];
     }

@@ -13,12 +13,14 @@ import numpy as np
 from repro.core.backends import KernelBackend, available_backends, register_backend
 
 
-def _merge_pairs(a_concat, a_xadj, b_concat, b_xadj):
-    for i in range(a_xadj.size - 1):
-        ai, ae = int(a_xadj[i]), int(a_xadj[i + 1])
-        bi, be = int(b_xadj[i]), int(b_xadj[i + 1])
+def _merge_pairs(a, b):
+    """Per-pair merge over the in-place CSR sides (``CsrBlocks``)."""
+    for i in range(a.slots.size):
+        sa, sb = int(a.slots[i]), int(b.slots[i])
+        ai, ae = int(a.xadj[sa]), int(a.xadj[sa + 1])
+        bi, be = int(b.xadj[sb]), int(b.xadj[sb + 1])
         while ai < ae and bi < be:
-            av, bv = a_concat[ai], b_concat[bi]
+            av, bv = a.adjncy[ai], b.adjncy[bi]
             if av == bv:
                 yield i, av
                 ai += 1
@@ -29,16 +31,16 @@ def _merge_pairs(a_concat, a_xadj, b_concat, b_xadj):
                 bi += 1
 
 
-def _count(a_concat, a_xadj, b_concat, b_xadj, vertex_bound):
-    counts = np.zeros(a_xadj.size - 1, dtype=np.int64)
-    for i, _ in _merge_pairs(a_concat, a_xadj, b_concat, b_xadj):
+def _count(a, b, vertex_bound):
+    counts = np.zeros(a.slots.size, dtype=np.int64)
+    for i, _ in _merge_pairs(a, b):
         counts[i] += 1
     return counts
 
 
-def _elements(a_concat, a_xadj, b_concat, b_xadj, vertex_bound):
+def _elements(a, b, vertex_bound):
     pairs, elems = [], []
-    for i, v in _merge_pairs(a_concat, a_xadj, b_concat, b_xadj):
+    for i, v in _merge_pairs(a, b):
         pairs.append(i)
         elems.append(v)
     return (

@@ -1,9 +1,10 @@
 """Kernel backend registry: selection, fallback, and bit-identity.
 
-The ``batch_intersect_*`` dispatcher owns validation, the side swap and
+The ``csr_intersect_*`` dispatchers own validation, the side swap and
 the charged ops; a backend only produces counts / hit streams.  These
-tests pin the registry semantics (env/explicit selection, logged
-fallback to numpy, third-party registration) and the contract itself —
+tests pin the registry semantics (env/explicit selection, the native
+default and its silent fallback, logged fallback of a selected backend
+to numpy, third-party registration) and the contract itself —
 every loadable backend must return byte-identical results on the same
 pre-conditioned inputs.
 """
@@ -70,15 +71,25 @@ def test_registry_lists_shipped_backends():
     assert backend_status()["numpy"] == "ok"
 
 
-def test_default_backend_is_numpy():
-    assert get_backend().name == "numpy"
+#: What resolves when nothing is selected.
+DEFAULT = "native" if HAVE_NATIVE else "numpy"
 
 
-def test_unknown_backend_raises():
+@pytest.fixture()
+def no_env_selection(monkeypatch):
+    monkeypatch.delenv(backends.ENV_BACKEND, raising=False)
+
+
+def test_default_backend_is_native_where_it_loads(no_env_selection):
+    assert backends.DEFAULT_BACKEND == "native"
+    assert get_backend().name == DEFAULT
+
+
+def test_unknown_backend_raises(no_env_selection):
     with pytest.raises(KeyError, match="unknown kernel backend"):
         set_backend("no-such-backend")
     # and the selection was not clobbered by the failed attempt
-    assert get_backend().name == "numpy"
+    assert get_backend().name == DEFAULT
 
 
 def test_env_selection(monkeypatch):
@@ -94,11 +105,70 @@ def test_explicit_selection_beats_env(monkeypatch):
     assert get_backend().name == "numpy"
 
 
-def test_use_backend_restores_previous():
+def test_use_backend_restores_previous(no_env_selection):
     name = register_pymerge()
     with use_backend(name):
         assert get_backend().name == name
+    assert get_backend().name == DEFAULT
+    set_backend("numpy")
+    with use_backend(name):
+        assert get_backend().name == name
     assert get_backend().name == "numpy"
+
+
+def test_env_numpy_forces_numpy(monkeypatch):
+    monkeypatch.setenv(backends.ENV_BACKEND, "numpy")
+    assert get_backend().name == "numpy"
+
+
+@pytest.fixture()
+def native_unloadable(monkeypatch):
+    """The native loader fails, as without cffi or a C compiler; counts
+    how often it is tried."""
+    calls = []
+
+    def loader():
+        calls.append(1)
+        raise ImportError("native kernel build failed: no compiler")
+
+    monkeypatch.setitem(backends._LOADERS, "native", loader)
+    monkeypatch.delitem(backends._BACKENDS, "native", raising=False)
+    # setenv (not delenv) so the warned-flag the test sets is undone.
+    monkeypatch.setenv(backends.ENV_FALLBACK_WARNED, "")
+    backends._FAILED.pop("native", None)
+    yield calls
+    backends._FAILED.pop("native", None)
+
+
+def test_default_falls_back_to_numpy_without_warning(
+    caplog, no_env_selection, native_unloadable
+):
+    with caplog.at_level(logging.DEBUG, logger="repro.kernels"):
+        assert get_backend().name == "numpy"
+        assert get_backend().name == "numpy"
+        res = batch_intersect_count(*_random_batch(np.random.default_rng(1), 5, 50, 9), 50)
+    assert res.counts.size == 5
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+    debug = [r for r in caplog.records if "default kernel backend" in r.getMessage()]
+    assert len(debug) == 1 and debug[0].levelno == logging.DEBUG
+    assert "native" not in os.environ.get(backends.ENV_FALLBACK_WARNED, "").split(",")
+    # A failed build is tried once, not on every dispatch.
+    assert len(native_unloadable) == 1
+
+
+@pytest.mark.parametrize("channel", ["set_backend", "env"])
+def test_explicit_native_still_warns_once(caplog, monkeypatch, native_unloadable, channel):
+    monkeypatch.delenv(backends.ENV_BACKEND, raising=False)
+    with caplog.at_level(logging.DEBUG, logger="repro.kernels"):
+        assert get_backend().name == "numpy"  # silent default fallback first
+        if channel == "env":
+            monkeypatch.setenv(backends.ENV_BACKEND, "native")
+        else:
+            set_backend("native")
+        assert get_backend().name == "numpy"
+        assert resolve_backend("native").name == "numpy"
+    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1 and "falling back to numpy" in warnings[0].getMessage()
 
 
 @pytest.fixture()

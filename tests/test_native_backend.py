@@ -9,9 +9,14 @@ warning and the rest of the suite stays green.
 
 import logging
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.core import backends
 from repro.core.backends import resolve_backend, set_backend, use_backend
@@ -152,6 +157,29 @@ def test_build_artifact_cached_and_reused(tmp_path, monkeypatch):
     assert not compiled, "existing artifact must be reused, not rebuilt"
     assert artifact.stat().st_mtime_ns == stamp
     assert again.lib is module.lib  # same extension module via sys.modules
+
+
+@needs_native
+def test_build_tooling_stays_out_of_the_calling_process(tmp_path):
+    """The compile runs in a child interpreter: the build tooling it
+    imports (setuptools, ~15 MiB) never enters the process that selected
+    native, so a fresh checkout's first run peaks no higher than later
+    runs."""
+    code = (
+        "import sys; from repro.core.native import builder; builder.load_lib(); "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('setuptools', 'distutils')))"
+    )
+    env = {
+        **os.environ,
+        builder.ENV_BUILD_DIR: str(tmp_path),
+        "PYTHONPATH": str(Path(repro.__file__).parents[1]),
+    }
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert builder._artifact_path(tmp_path).exists()
+    assert out.stdout.strip() == "[]"
 
 
 @needs_native
